@@ -146,13 +146,13 @@ class RunRequest:
     #: Run only tasks ``[start, stop)`` of the canonical decomposition.  The
     #: tally is the deterministic partial fold of that range; *physics-
     #: bearing* (a partial tally is a different result), so it participates
-    #: in the request fingerprint.  ``mode="local"`` only.
+    #: in the request fingerprint.
     task_range: tuple[int, int] | None = None
     #: A :class:`~repro.core.reduce.TallyFrontier` from a cached smaller-
     #: budget run of the same physics; its covered tasks are primed into the
     #: reducer and not re-simulated (the delta run).  Execution-only: the
     #: final tally is bit-identical with or without it, so it does NOT enter
-    #: the fingerprint.  ``mode="local"`` only.
+    #: the fingerprint.
     frontier: "TallyFrontier | None" = None
     #: Capture the run's reduction frontier onto ``RunReport.frontier`` so
     #: the result can later be budget-extended.  Execution-only.
@@ -196,14 +196,6 @@ class RunRequest:
                     f"task_range [{lo}, {hi}) out of range for the "
                     f"{n_tasks}-task decomposition of {self.n_photons} photons"
                 )
-        if self.mode == "serve" and (
-            self.task_range is not None
-            or self.frontier is not None
-            or self.capture_frontier
-        ):
-            raise ValueError(
-                "task_range / frontier / capture_frontier require mode='local'"
-            )
 
     def resolved_task_size(self) -> int:
         return self.task_size if self.task_size is not None else DEFAULT_TASK_SIZE
@@ -339,48 +331,39 @@ def run(request: RunRequest) -> RunReport:
     checkpoint = resolve_checkpoint(request.checkpoint, request.resume)
     telemetry, owns_telemetry = _resolve_telemetry(request)
     try:
+        # One plan, two transports: every scheduling and fault-tolerance
+        # field means the same thing in either mode.
+        plan = dict(
+            n_photons=request.n_photons,
+            seed=request.seed,
+            task_size=request.resolved_task_size(),
+            kernel=request.kernel,
+            max_retries=request.max_retries,
+            task_deadline=request.task_deadline,
+            checkpoint=checkpoint,
+            retain_task_tallies=request.retain_task_tallies,
+            span_size=request.span_size,
+            sub_batch=request.sub_batch,
+            capture_paths=request.capture_paths,
+            base_frontier=request.frontier,
+            capture_frontier=request.capture_frontier,
+            task_range=request.task_range,
+            telemetry=telemetry,
+        )
         if request.mode == "serve":
             server = NetworkServer(
                 config,
-                n_photons=request.n_photons,
-                seed=request.seed,
-                task_size=request.resolved_task_size(),
-                kernel=request.kernel,
-                max_retries=request.max_retries,
                 host=request.host,
                 port=request.port,
                 heartbeat_timeout=request.heartbeat_timeout,
-                task_deadline=request.task_deadline,
-                checkpoint=checkpoint,
                 compress=request.compress,
-                retain_task_tallies=request.retain_task_tallies,
-                span_size=request.span_size,
-                sub_batch=request.sub_batch,
-                capture_paths=request.capture_paths,
-                telemetry=telemetry,
+                **plan,
             ).start()
             if request.on_server_start is not None:
                 request.on_server_start(server)
             report = server.wait(timeout=request.serve_timeout)
         else:
-            manager = DataManager(
-                config,
-                request.n_photons,
-                seed=request.seed,
-                task_size=request.resolved_task_size(),
-                kernel=request.kernel,
-                max_retries=request.max_retries,
-                task_deadline=request.task_deadline,
-                checkpoint=checkpoint,
-                retain_task_tallies=request.retain_task_tallies,
-                span_size=request.span_size,
-                sub_batch=request.sub_batch,
-                capture_paths=request.capture_paths,
-                base_frontier=request.frontier,
-                capture_frontier=request.capture_frontier,
-                task_range=request.task_range,
-                telemetry=telemetry,
-            )
+            manager = DataManager(config, **plan)
             with make_backend(request.resolved_backend(), request.workers) as backend:
                 report = manager.run(backend)
     finally:

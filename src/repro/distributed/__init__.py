@@ -13,6 +13,7 @@ from .checkpoint import CheckpointError, CheckpointManager, run_key
 from .datamanager import DataManager, RunReport, TaskFailedError
 from .faults import FaultInjector, WorkerCrash
 from .health import WorkerHealth, WorkerStats
+from .lifecycle import Attempt, RunPlan, TaskLifecycle
 from .net import (
     NetworkServer,
     ProtocolError,
@@ -35,6 +36,7 @@ from .protocol import (
 from .worker import execute_span, execute_task, execute_unit, worker_identity
 
 __all__ = [
+    "Attempt",
     "BACKEND_NAMES",
     "Backend",
     "Campaign",
@@ -47,10 +49,12 @@ __all__ = [
     "NetworkServer",
     "ProtocolError",
     "ResultValidationError",
+    "RunPlan",
     "RunReport",
     "SerialBackend",
     "SpanSpec",
     "TaskFailedError",
+    "TaskLifecycle",
     "TaskResult",
     "TaskSpec",
     "ThreadBackend",

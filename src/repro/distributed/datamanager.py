@@ -1,62 +1,30 @@
 """The DataManager — server side of the distributed platform.
 
 Mirrors the paper's architecture: the DataManager "assigns simulations to
-client PCs and processes the returned results".  Concretely it
-
-1. splits the photon budget into fixed-size tasks with the canonical
-   decomposition (:func:`repro.core.simulation.split_photons`), so the
-   distributed result is bit-identical to a serial run of the same
-   decomposition;
-2. keeps at most ``max_workers`` tasks in flight and hands a new task to
-   whichever worker finishes first (pull-based *self-scheduling*, the
-   policy that yields the paper's near-linear speedup on heterogeneous,
-   non-dedicated machines);
-3. retries failed tasks up to ``max_retries`` times with exponential
-   backoff (non-dedicated clients vanish; see
-   :mod:`repro.distributed.faults`), validating every returned result
-   before merging it (:func:`~repro.distributed.protocol.validate_result`)
-   so a corrupted client cannot poison the tally;
-4. enforces an optional per-task **deadline**: a straggling attempt is
-   speculatively re-dispatched, the first result wins, and late duplicates
-   are discarded by task index — correctness is unaffected because task
-   RNG streams are keyed by ``(seed, task_index)``, never by schedule;
-5. optionally **checkpoints** completed results to disk
-   (:mod:`repro.distributed.checkpoint`) so a killed run can resume
-   bit-identically;
-6. merges the returned tallies and produces a :class:`RunReport` with
-   per-worker utilisation and health
-   (:class:`~repro.distributed.health.WorkerHealth`).
+client PCs and processes the returned results".  The assigning and the
+processing — canonical decomposition, retries with backoff, merge-time
+validation, deadline-driven speculation, checkpointing, the incremental
+bit-identical reduction, worker health and the :class:`RunReport` — are the
+:class:`~repro.distributed.lifecycle.TaskLifecycle` core, shared with the
+TCP :class:`~repro.distributed.net.NetworkServer`.  What this class adds is
+the transport: it keeps at most ``max_workers`` attempts in flight on an
+executor backend and hands a new unit to whichever worker finishes first
+(pull-based *self-scheduling*, the policy that yields the paper's
+near-linear speedup on heterogeneous, non-dedicated machines).
 """
 
 from __future__ import annotations
 
-import logging
+import math
 import time
-import warnings
 from concurrent.futures import FIRST_COMPLETED, Future, wait
-from dataclasses import dataclass, field, fields
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Callable
 
-from ..core.config import SimulationConfig
-from ..core.reduce import PairwiseReducer, TallyFrontier, prefix_spans
-from ..core.simulation import KernelName, split_photons
-from ..core.tally import Tally
 from .backends import Backend
-from .checkpoint import CheckpointManager, run_key
-from .health import WorkerHealth, WorkerStats
-from .protocol import (
-    ResultValidationError,
-    SpanSpec,
-    TaskResult,
-    TaskSpec,
-    make_units,
-    thaw_result,
-    validate_result,
-)
+from .lifecycle import Attempt, RunPlan, RunReport, TaskFailedError, TaskLifecycle
+from .protocol import TaskResult
 from .worker import execute_task, execute_unit, execute_unit_ipc
-
-logger = logging.getLogger(__name__)
 
 __all__ = ["DataManager", "RunReport", "TaskFailedError"]
 
@@ -64,448 +32,23 @@ __all__ = ["DataManager", "RunReport", "TaskFailedError"]
 _DRAIN_TIMEOUT = 30.0
 
 
-class TaskFailedError(RuntimeError):
-    """A task exhausted its retry budget."""
+@dataclass(kw_only=True)
+class DataManager(RunPlan):
+    """Server-side orchestrator of one experiment on an executor backend.
 
-    def __init__(self, task: TaskSpec, attempts: int, last_error: BaseException):
-        super().__init__(
-            f"task {task.task_index} failed after {attempts} attempts: {last_error!r}"
-        )
-        self.task = task
-        self.attempts = attempts
-        self.last_error = last_error
+    Takes every :class:`~repro.distributed.lifecycle.RunPlan` field, plus:
 
-
-@dataclass
-class RunReport:
-    """Outcome of a distributed run.
-
-    Attributes
-    ----------
-    tally:
-        The merged physics result.
-    task_results:
-        Per-task results in task order.  When the run was executed with
-        ``retain_task_tallies=False`` each entry keeps its metadata
-        (worker, timing, photon count) but its ``tally`` is ``None`` —
-        the weight data lives only in the merged ``tally`` above.
-    wall_seconds:
-        End-to-end time observed by the DataManager.
-    retries:
-        Total failed attempts that were retried.
-    speculative_duplicates:
-        Speculative attempts dispatched for straggling tasks (the losing
-        copies are discarded at merge time).
-    worker_health:
-        Per-worker failure/latency/blacklist stats, keyed by worker id.
-    metrics:
-        Final metrics block (the :meth:`repro.observe.Telemetry.snapshot`
-        of the run's registry) when the run was telemetered; ``None``
-        otherwise.
-    frontier:
-        The run's re-injectable reduction frontier
-        (:class:`~repro.core.reduce.TallyFrontier`) when the run was
-        executed with ``capture_frontier=True``; ``None`` otherwise.  For a
-        complete run this is the canonical prefix-span decomposition of the
-        full-size tasks (the budget-extension base); for a partial
-        ``task_range`` run it is the pending-node export (resumable into a
-        same-decomposition reducer).
-    """
-
-    tally: Tally
-    task_results: list[TaskResult]
-    wall_seconds: float
-    retries: int = 0
-    speculative_duplicates: int = 0
-    worker_health: dict[str, WorkerStats] = field(default_factory=dict)
-    metrics: dict | None = None
-    frontier: TallyFrontier | None = None
-
-    @property
-    def n_tasks(self) -> int:
-        return len(self.task_results)
-
-    @property
-    def busy_seconds(self) -> float:
-        """Total worker compute time across all tasks."""
-        return sum(r.elapsed_seconds for r in self.task_results)
-
-    def per_worker(self) -> dict[str, dict[str, float]]:
-        """Utilisation and health summary keyed by worker id.
-
-        Each row carries the utilisation counters (``tasks``,
-        ``busy_seconds``, ``photons``) plus the health fields
-        (``failures``, ``blacklisted``, ``mean_latency_seconds``).  Workers
-        that only ever failed appear with zero completed tasks.
-        """
-        out: dict[str, dict[str, float]] = {}
-
-        def row_for(worker_id: str) -> dict[str, float]:
-            return out.setdefault(
-                worker_id, {"tasks": 0.0, "busy_seconds": 0.0, "photons": 0.0}
-            )
-
-        for r in self.task_results:
-            row = row_for(r.worker_id)
-            row["tasks"] += 1.0
-            row["busy_seconds"] += r.elapsed_seconds
-            row["photons"] += float(r.photons)
-        for worker_id, stats in self.worker_health.items():
-            row = row_for(worker_id)
-            row["failures"] = float(stats.failures)
-            row["blacklisted"] = stats.blacklisted
-            row["mean_latency_seconds"] = stats.mean_latency
-        for row in out.values():
-            row.setdefault("failures", 0.0)
-            row.setdefault("blacklisted", False)
-            row.setdefault(
-                "mean_latency_seconds",
-                row["busy_seconds"] / row["tasks"] if row["tasks"] else float("nan"),
-            )
-        return out
-
-
-@dataclass
-class DataManager:
-    """Server-side orchestrator of one distributed experiment.
-
-    Parameters
-    ----------
-    config:
-        The experiment every task runs.
-    n_photons:
-        Total photon budget.
-    seed:
-        Experiment seed (combined with task indices for RNG streams).
-    task_size:
-        Photons per task — the self-scheduling chunk size.  Smaller tasks
-        balance load better but pay more per-task overhead; the paper's
-        97 %-efficiency point is a chunk-size trade-off, explored in
-        ``benchmarks/bench_ablation_chunksize.py``.
-    kernel:
-        Kernel the clients run.
-    max_retries:
-        Additional attempts allowed per task after a failure.
     task_runner:
         The client entry point; replaceable for fault injection.  Must be
         picklable for the multiprocessing backend.
-    progress:
-        Optional callback ``(done_tasks, total_tasks) -> None``.
-    task_deadline:
-        Seconds an attempt may run before a speculative duplicate is
-        dispatched (``None`` disables speculation).  First result wins;
-        the loser is discarded, so the merged tally is unaffected.
-    max_speculative:
-        Speculative duplicates allowed per task.
-    retry_backoff:
-        Base delay before re-dispatching a failed task; doubles with each
-        failure of that task, capped at ``retry_backoff_cap``.  ``0``
-        (the default) retries immediately.
-    retry_backoff_cap:
-        Upper bound on the exponential backoff delay.
-    blacklist_after:
-        Consecutive failures after which a worker is marked blacklisted in
-        the :class:`~repro.distributed.health.WorkerHealth` report
-        (``None`` disables).  In-process backends cannot refuse work to a
-        thread, so here the flag is diagnostic; the
-        :class:`~repro.distributed.net.NetworkServer` enforces it.
-    span_size:
-        Tasks per dispatch unit for hierarchical worker-local reduction
-        (``None``, the default, keeps per-task dispatch).  Tasks are
-        grouped into tree-aligned spans (the size is rounded down to a
-        power of two); the worker folds each span's tallies bottom-up into
-        the canonical subtree partial and ships that single payload, so
-        IPC payload count and parent merge CPU drop by the span factor
-        while the merged tally stays bit-identical to serial.  Retries,
-        speculation and checkpoints operate on whole spans.
-    sub_batch:
-        Vectorized-kernel sub-batch override shipped with every task
-        (``None`` keeps the kernel default).  Execution-only: results are
-        statistically equivalent across sub-batch sizes but not
-        bit-identical, so the value participates in the checkpoint run key.
-    capture_paths:
-        Ship ``capture_paths=True`` with every task: workers record
-        per-detected-photon path records (``Tally.paths``, the raw
-        material for :mod:`repro.perturb` reweighting), sealed under the
-        task index so the merged record set is bit-identical across
-        backends and schedules.  No other tally field changes.
-    checkpoint:
-        A :class:`~repro.distributed.checkpoint.CheckpointManager`, or a
-        directory path for one.  Completed task results are persisted as
-        they arrive and reloaded on the next :meth:`run` with the same
-        run key, making a killed run resumable bit-identically.
-    base_frontier:
-        A :class:`~repro.core.reduce.TallyFrontier` from a previous run of
-        the same physics and task size (smaller budget, or a disjoint
-        ``task_range``).  Its span partials are primed into the reducer
-        before any task is dispatched and the covered task indices are
-        **not** re-simulated — the run executes only the missing tasks and
-        the merged tally is bit-identical to a from-scratch run of the full
-        decomposition (task RNG streams are keyed by ``(seed, task_index)``,
-        and the frontier spans are canonical subtree folds).  The frontier's
-        tallies are not mutated.  ``span_size`` is ignored (delta tasks are
-        dispatched per-task: spans could straddle the coverage boundary).
-    capture_frontier:
-        Snapshot the run's reduction frontier and attach it to
-        :attr:`RunReport.frontier`, making the result budget-extendable.
-        Costs one deep tally copy per frontier span (≤ ⌈log₂ n⌉ + 1 spans).
-    task_range:
-        Run only tasks ``[start, stop)`` of the canonical decomposition.
-        The tally is the deterministic partial fold of those tasks; the
-        report's frontier (with ``capture_frontier=True``) can seed a later
-        run that completes the remainder.  ``span_size`` is ignored.
-    retain_task_tallies:
-        Keep each task's tally on its :class:`TaskResult` (default, needed
-        by :mod:`repro.analysis` and :mod:`repro.io.reports`).  Set
-        ``False`` for large runs: tallies are released the moment they are
-        folded into the incremental pairwise reduction, bounding live
-        tallies at ~⌈log₂ n_tasks⌉ + tasks in flight instead of n_tasks,
-        while ``task_results`` keeps all scheduling metadata.
-    telemetry:
-        Optional :class:`~repro.observe.Telemetry`.  When given, the run
-        emits dispatch/merge spans and scheduling counters
-        (``tasks.dispatched`` / ``tasks.retried`` / ``tasks.speculative``),
-        observes per-task latency histograms and per-worker throughput,
-        drives the progress reporter, and attaches the final metrics
-        snapshot to :attr:`RunReport.metrics`.  The caller owns the
-        telemetry lifecycle (call :meth:`repro.observe.Telemetry.finish`
-        when the last run on it is over).
     """
 
-    config: SimulationConfig
-    n_photons: int
-    seed: int = 0
-    task_size: int = 100_000
-    kernel: KernelName = "vector"
-    max_retries: int = 2
     task_runner: Callable[..., TaskResult] = execute_task
-    progress: Callable[[int, int], None] | None = None
-    task_deadline: float | None = None
-    max_speculative: int = 1
-    retry_backoff: float = 0.0
-    retry_backoff_cap: float = 30.0
-    blacklist_after: int | None = 3
-    checkpoint: CheckpointManager | str | Path | None = None
-    telemetry: object | None = None
-    retain_task_tallies: bool = True
-    span_size: int | None = None
-    sub_batch: int | None = None
-    capture_paths: bool = False
-    base_frontier: TallyFrontier | None = None
-    capture_frontier: bool = False
-    task_range: tuple[int, int] | None = None
-    _retries: int = field(init=False, default=0)
-
-    def __post_init__(self) -> None:
-        if self.n_photons < 0:
-            raise ValueError(f"n_photons must be >= 0, got {self.n_photons}")
-        if self.task_size <= 0:
-            raise ValueError(f"task_size must be > 0, got {self.task_size}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.task_deadline is not None and self.task_deadline <= 0:
-            raise ValueError(
-                f"task_deadline must be > 0 or None, got {self.task_deadline}"
-            )
-        if self.max_speculative < 0:
-            raise ValueError(
-                f"max_speculative must be >= 0, got {self.max_speculative}"
-            )
-        if self.retry_backoff < 0:
-            raise ValueError(f"retry_backoff must be >= 0, got {self.retry_backoff}")
-        if self.span_size is not None and self.span_size < 1:
-            raise ValueError(
-                f"span_size must be >= 1 or None, got {self.span_size}"
-            )
-        if self.sub_batch is not None and self.sub_batch <= 0:
-            raise ValueError(f"sub_batch must be > 0 or None, got {self.sub_batch}")
-        n_tasks = len(split_photons(self.n_photons, self.task_size))
-        if self.task_range is not None:
-            lo, hi = self.task_range
-            if not 0 <= lo < hi <= n_tasks:
-                raise ValueError(
-                    f"task_range [{lo}, {hi}) out of range for the "
-                    f"{n_tasks}-task decomposition of {self.n_photons} photons"
-                )
-        if self.base_frontier is not None:
-            for start, stop, _tally in self.base_frontier:
-                if not 0 <= start < stop <= n_tasks:
-                    raise ValueError(
-                        f"base_frontier span [{start}, {stop}) out of range "
-                        f"for the {n_tasks}-task decomposition"
-                    )
-
-    def tasks(self) -> list[TaskSpec]:
-        """The canonical task decomposition of this experiment."""
-        return [
-            TaskSpec(
-                task_index=i, n_photons=count, seed=self.seed, kernel=self.kernel,
-                sub_batch=self.sub_batch, capture_paths=self.capture_paths,
-            )
-            for i, count in enumerate(split_photons(self.n_photons, self.task_size))
-        ]
-
-    def units(self) -> list[TaskSpec] | list[SpanSpec]:
-        """The dispatch units: per-task, or tree-aligned spans of tasks."""
-        return make_units(self.tasks(), self.span_size)
-
-    def run_key(self) -> dict:
-        """Identity of this run's decomposition (for checkpoint matching)."""
-        return run_key(
-            n_photons=self.n_photons,
-            seed=self.seed,
-            task_size=self.task_size,
-            kernel=self.kernel,
-            span_size=self.span_size,
-            sub_batch=self.sub_batch,
-            capture_paths=self.capture_paths,
-            task_range=self.task_range,
-            base_spans=(
-                [(s, e) for s, e, _t in self.base_frontier]
-                if self.base_frontier is not None
-                else None
-            ),
-        )
-
-    def _checkpoint_manager(self) -> CheckpointManager | None:
-        if self.checkpoint is None:
-            return None
-        if isinstance(self.checkpoint, CheckpointManager):
-            return self.checkpoint
-        return CheckpointManager(self.checkpoint)
-
-    def _backoff(self, n_failures: int) -> float:
-        if self.retry_backoff <= 0:
-            return 0.0
-        return min(self.retry_backoff * (2 ** (n_failures - 1)), self.retry_backoff_cap)
-
-    @staticmethod
-    def _drain(in_flight: dict[Future, tuple]) -> None:
-        """Settle in-flight attempts before aborting the run.
-
-        ``Future.cancel()`` is a no-op for already-running attempts, so we
-        must *wait* for them — otherwise the raise races with workers still
-        mutating backend state.
-        """
-        for fut in in_flight:
-            fut.cancel()
-        still_running = {f for f in in_flight if not f.cancelled()}
-        if still_running:
-            wait(still_running, timeout=_DRAIN_TIMEOUT)
 
     def run(self, backend: Backend) -> RunReport:
         """Execute the experiment on ``backend`` and merge the results."""
-        start = time.perf_counter()
-        tel = self.telemetry
-        tasks = self.tasks()
-        base = self.base_frontier
-        covered: set[int] = set()
-        if base is not None:
-            for span_start, span_stop, _t in base:
-                covered.update(range(span_start, span_stop))
-        if base is None and self.task_range is None:
-            units = make_units(tasks, self.span_size)
-        else:
-            # Delta / partial-range runs dispatch per-task: worker-fold
-            # spans could straddle the base-coverage or range boundary.
-            lo, hi = self.task_range if self.task_range is not None else (0, len(tasks))
-            units = [t for t in tasks[lo:hi] if t.task_index not in covered]
-        self._retries = 0
-        health = WorkerHealth(blacklist_after=self.blacklist_after)
-        ckpt = self._checkpoint_manager()
-        restored: dict[int, TaskResult] = {}
-        if ckpt is not None:
-            restored = ckpt.load(self.run_key())
-            if restored:
-                logger.info(
-                    "resumed %d completed units from checkpoint %s",
-                    len(restored), ckpt.directory,
-                )
-
-        if not tasks:
-            empty = Tally(n_layers=len(self.config.stack), records=self.config.records)
-            return RunReport(
-                tally=empty,
-                task_results=[],
-                wall_seconds=time.perf_counter() - start,
-                worker_health=health.snapshot(),
-                metrics=tel.snapshot() if tel is not None else None,
-                frontier=TallyFrontier([]) if self.capture_frontier else None,
-            )
-
-        n_tasks = len(tasks)
-        n_units = len(units)
-        if tel is not None:
-            tel.emit(
-                "run_start",
-                n_tasks=n_tasks,
-                n_units=n_units,
-                n_photons=self.n_photons,
-                restored=len(restored),
-                workers=backend.max_workers,
-                kernel=self.kernel,
-            )
-        by_index = {u.task_index: u for u in units}
-        results = {i: r for i, r in restored.items() if i in by_index}
-        # Incremental deterministic reduction: results are folded into a
-        # canonical binary tree keyed by task index as they arrive, so the
-        # merged tally is bit-identical to serial no matter the completion
-        # order, there is no end-of-run merge stall, and (with
-        # retain_task_tallies=False) at most ~log2(n_tasks) + in-flight
-        # tallies are ever held in memory.  Checkpointed results re-enter
-        # through the same reducer, keeping resumed runs on the same tree.
-        # A span result enters at its subtree node (add_span) — the worker
-        # already performed that subtree's merges, bit-identically.
-        retain = self.retain_task_tallies
-        # ``complete`` — this run (base coverage + its own tasks) reduces the
-        # whole decomposition, so result() applies and the prefix frontier
-        # can be captured; otherwise the run yields a deterministic partial.
-        # (Plain runs dispatch spans, so count per-task only on delta paths.)
-        if base is None and self.task_range is None:
-            complete = True
-        else:
-            complete = len(covered) + len(units) == n_tasks
-        capture_spans = None
-        if self.capture_frontier and complete:
-            k_full = self.n_photons // self.task_size
-            if k_full:
-                capture_spans = prefix_spans(k_full)
-        reducer = PairwiseReducer(n_tasks, telemetry=tel, capture_spans=capture_spans)
-        if base is not None:
-            reducer.prime(base)
-
-        def fold(idx: int, result: TaskResult) -> None:
-            # Release before feeding the reducer: with an owned leaf the
-            # reducer merges siblings into it in place, which would corrupt
-            # the per-unit photon count release_tally() snapshots.
-            leaf = result.tally
-            span = result.span
-            if not retain:
-                result.release_tally()
-            # Codec-decoded tallies may be zero-copy views into a read-only
-            # buffer; the reducer may only accumulate into writable arrays.
-            owned = (not retain) and leaf.absorbed_by_layer.flags.writeable
-            if span is not None:
-                reducer.add_span(span[0], span[1], leaf, owned=owned)
-                if tel is not None and span[1] - span[0] > 1:
-                    tel.count("reduce.worker_folds", span[1] - span[0] - 1)
-            else:
-                reducer.add(idx, leaf, owned=owned)
-
-        for i in sorted(results):
-            fold(i, results[i])
-        # (not_before, unit, attempt): retries carry a backoff release time.
-        pending: list[tuple[float, TaskSpec | SpanSpec, int]] = [
-            (0.0, u, 1) for u in units if u.task_index not in results
-        ]
-        in_flight: dict[Future, tuple[TaskSpec, int, float]] = {}
-        inflight_count: dict[int, int] = {}
-        last_dispatch: dict[int, float] = {}
-        failures: dict[int, int] = {}
-        spec_count: dict[int, int] = {}
-        speculative = 0
-
-        attempt_spans: dict[Future, tuple[int, float]] = {}
+        clock = time.perf_counter
+        core = TaskLifecycle(self, clock())
         # Every attempt routes through the unit entry points: execute_unit
         # runs tasks or folds spans in place; execute_unit_ipc additionally
         # returns the tally in zero-copy codec form, stripping the pickle
@@ -516,241 +59,50 @@ class DataManager:
         in_process = getattr(backend, "in_process", False)
         unit_entry = execute_unit if in_process else execute_unit_ipc
         runner_kwargs = {"runner": self.task_runner}
-        if tel is not None and in_process and self.task_runner is execute_task:
-            runner_kwargs["telemetry"] = tel
+        if self.telemetry is not None and in_process and self.task_runner is execute_task:
+            runner_kwargs["telemetry"] = self.telemetry
 
-        def dispatch(task: TaskSpec | SpanSpec, attempt: int) -> None:
-            now = time.perf_counter()
-            if tel is not None:
-                handle = tel.span_begin(
-                    "task.attempt", task=task.task_index, attempt=attempt,
-                    photons=task.n_photons,
+        in_flight: dict[Future, Attempt] = {}
+        while not core.finished:
+            # With every worker busy only a completion can change anything.
+            wake = math.inf
+            while len(in_flight) < backend.max_workers:
+                step = core.next_unit(clock())
+                if not isinstance(step, Attempt):
+                    wake = step  # a time; the run cannot finish inside this loop
+                    break
+                fut = backend.submit(
+                    unit_entry, self.config, step.unit, attempt=step.number,
+                    **runner_kwargs,
                 )
-            fut = backend.submit(
-                unit_entry, self.config, task, attempt=attempt,
-                **runner_kwargs,
-            )
-            in_flight[fut] = (task, attempt, now)
-            inflight_count[task.task_index] = inflight_count.get(task.task_index, 0) + 1
-            last_dispatch[task.task_index] = now
-            if tel is not None:
-                attempt_spans[fut] = handle
-                tel.count("tasks.dispatched")
-                tel.gauge("tasks.in_flight", len(in_flight))
-
-        def fill() -> None:
-            now = time.perf_counter()
-            pending[:] = [
-                (nb, t, a) for nb, t, a in pending if t.task_index not in results
-            ]
-            i = 0
-            while i < len(pending) and len(in_flight) < backend.max_workers:
-                not_before, task, attempt = pending[i]
-                if not_before <= now:
-                    pending.pop(i)
-                    dispatch(task, attempt)
-                else:
-                    i += 1
-
-        fill()
-        while len(results) < n_units:
+                in_flight[fut] = step
             if not in_flight:
-                if not pending:
+                if wake == math.inf:
                     raise RuntimeError(
                         "scheduler stalled: tasks outstanding but nothing queued"
                     )
                 # Everything is backoff-delayed; sleep to the earliest release.
-                delay = min(nb for nb, _, _ in pending) - time.perf_counter()
-                if delay > 0:
-                    time.sleep(delay)
-                fill()
+                time.sleep(max(0.0, wake - clock()))
                 continue
-
             # Wake early enough to notice deadline crossings and backoff releases.
-            now = time.perf_counter()
-            wakeups = []
-            if self.task_deadline is not None:
-                wakeups.extend(
-                    last_dispatch[idx] + self.task_deadline
-                    for idx, count in inflight_count.items()
-                    if count > 0 and idx not in results
-                )
-            wakeups.extend(nb for nb, _, _ in pending if nb > now)
-            timeout = max(0.01, min(wakeups) - now) if wakeups else None
-
-            done, _pending_futs = wait(
-                set(in_flight), timeout=timeout, return_when=FIRST_COMPLETED
-            )
-            now = time.perf_counter()
+            timeout = None if wake == math.inf else max(0.0, wake - clock())
+            done, _ = wait(in_flight, timeout=timeout, return_when=FIRST_COMPLETED)
             for fut in done:
-                task, attempt, _started = in_flight.pop(fut)
-                idx = task.task_index
-                inflight_count[idx] -= 1
-                span = attempt_spans.pop(fut, None)
-                if tel is not None:
-                    tel.gauge("tasks.in_flight", len(in_flight))
-                if idx in results:
-                    # Late outcome of a task already merged via speculation.
-                    logger.info("discarding duplicate outcome of task %d", idx)
-                    if span is not None:
-                        tel.span_finish("task.attempt", span, outcome="duplicate")
-                    continue
+                attempt = in_flight.pop(fut)
                 error = fut.exception()
-                result: TaskResult | None = None
                 if error is None:
-                    candidate: TaskResult = fut.result()
-                    try:
-                        # A process-pool result arrives codec-encoded; thaw
-                        # it into zero-copy views before validation.
-                        thaw_result(candidate, telemetry=tel)
-                        validate_result(candidate, task)
-                        result = candidate
-                    except ValueError as exc:
-                        # ResultValidationError, or a CodecError from a
-                        # corrupt encoded payload — either way the result
-                        # is unusable and the unit is retried.
-                        error = exc
-                        health.record_failure(candidate.worker_id)
-                        logger.warning("task %d result rejected: %s", idx, exc)
-                if result is not None:
-                    results[idx] = result
-                    health.record_success(result.worker_id, result.elapsed_seconds)
-                    if ckpt is not None:
-                        ckpt.record(result)
-                    n_launched = result.tally.n_launched
-                    fold(idx, result)
-                    if self.progress is not None:
-                        self.progress(len(results), n_units)
-                    if tel is not None:
-                        tel.span_finish(
-                            "task.attempt", span,
-                            outcome="merged", worker=result.worker_id,
-                        )
-                        tel.count("tasks.completed")
-                        tel.count("photons.traced", n_launched)
-                        tel.count(
-                            "worker.photons", n_launched,
-                            worker=result.worker_id,
-                        )
-                        tel.count("worker.tasks", 1, worker=result.worker_id)
-                        tel.observe("task.seconds", result.elapsed_seconds)
-                        elapsed = time.perf_counter() - start
-                        done_photons = tel.registry.counter("photons.traced").value
-                        tel.progress_update(
-                            len(results), n_units,
-                            photons_per_s=done_photons / elapsed if elapsed else 0.0,
-                        )
-                    continue
-                if tel is not None and span is not None:
-                    tel.span_finish("task.attempt", span, outcome="failed")
-                failures[idx] = failures.get(idx, 0) + 1
-                if failures[idx] > self.max_retries:
-                    if inflight_count.get(idx, 0) > 0:
-                        # A speculative sibling is still running; let it decide.
-                        continue
-                    self._drain(in_flight)
-                    if ckpt is not None:
-                        ckpt.flush()
-                    raise TaskFailedError(task, failures[idx], error)
-                self._retries += 1
-                if tel is not None:
-                    tel.count("tasks.retried")
-                delay = self._backoff(failures[idx])
-                logger.info(
-                    "task %d failed (%r); retrying in %.2fs (attempt %d)",
-                    idx, error, delay, attempt + 1,
-                )
-                pending.append((now + delay, task, attempt + 1))
+                    core.on_result(attempt, fut.result(), clock())
+                else:
+                    core.on_failure(attempt, error, clock())
 
-            if self.task_deadline is not None:
-                queued = {t.task_index for _, t, _ in pending}
-                for idx, count in inflight_count.items():
-                    if count <= 0 or idx in results or idx in queued:
-                        continue
-                    if now - last_dispatch[idx] <= self.task_deadline:
-                        continue
-                    if spec_count.get(idx, 0) >= self.max_speculative:
-                        continue
-                    spec_count[idx] = spec_count.get(idx, 0) + 1
-                    speculative += 1
-                    if tel is not None:
-                        tel.count("tasks.speculative")
-                    attempt_no = failures.get(idx, 0) + spec_count[idx] + 1
-                    logger.info(
-                        "task %d exceeded the %.2fs deadline; "
-                        "dispatching speculative duplicate",
-                        idx, self.task_deadline,
-                    )
-                    pending.append((now, by_index[idx], attempt_no))
-            fill()
-
-        # Hung or superseded attempts may still be running; they are
-        # harmless (their results would be discarded) and the backend joins
-        # them at shutdown.  Cancel whatever has not started.
+        # Cancel whatever has not started.  Hung or superseded attempts may
+        # still be running; after a success they are harmless (their results
+        # would be discarded) and the backend joins them at shutdown.  Before
+        # a failure is raised they must settle first — ``Future.cancel()`` is
+        # a no-op for a running attempt, and the raise would race with
+        # workers still mutating backend state.
         for fut in in_flight:
             fut.cancel()
-
-        ordered = [results[u.task_index] for u in units]
-        # Every result was already folded in on arrival — no end-of-run
-        # merge pass (and no "merge" span) remains.
-        tally = reducer.result() if complete else reducer.partial_result()
-        frontier = None
-        if self.capture_frontier:
-            frontier = (
-                reducer.captured_frontier() if complete else reducer.export_pending()
-            )
-        if ckpt is not None:
-            ckpt.flush()
-        wall = time.perf_counter() - start
-        metrics = None
-        if tel is not None:
-            tel.gauge("run.photons_per_s", tally.n_launched / wall if wall else 0.0)
-            tel.emit("run_end", n_tasks=n_tasks, wall_seconds=wall,
-                     retries=self._retries, speculative=speculative)
-            metrics = tel.snapshot()
-        return RunReport(
-            tally=tally,
-            task_results=ordered,
-            wall_seconds=wall,
-            retries=self._retries,
-            speculative_duplicates=speculative,
-            worker_health=health.snapshot(),
-            metrics=metrics,
-            frontier=frontier,
-        )
-
-
-# --------------------------------------------------------------------------
-# Positional construction beyond (config, n_photons) is deprecated: the
-# field list has grown PR over PR (deadlines, checkpoints, telemetry...) and
-# positional call sites silently re-bind when a field is inserted.  The shim
-# keeps old code running — it maps the extra positionals onto the field
-# order and warns — while `repro.api.run` / keyword construction is the
-# supported path.
-_POSITIONAL_TAIL = [f.name for f in fields(DataManager) if f.init][2:]
-_DATACLASS_INIT = DataManager.__init__
-
-
-def _deprecating_init(self, config, n_photons, *args, **kwargs):
-    if args:
-        warnings.warn(
-            "constructing DataManager with positional arguments beyond "
-            "(config, n_photons) is deprecated; pass the remaining "
-            "parameters as keywords (or use repro.api.run)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if len(args) > len(_POSITIONAL_TAIL):
-            raise TypeError(
-                f"DataManager takes at most {2 + len(_POSITIONAL_TAIL)} "
-                f"positional arguments ({2 + len(args)} given)"
-            )
-        for name, value in zip(_POSITIONAL_TAIL, args):
-            if name in kwargs:
-                raise TypeError(f"DataManager got multiple values for {name!r}")
-            kwargs[name] = value
-    _DATACLASS_INIT(self, config, n_photons, **kwargs)
-
-
-_deprecating_init.__wrapped__ = _DATACLASS_INIT
-DataManager.__init__ = _deprecating_init
+        if core.failure is not None:
+            wait({f for f in in_flight if not f.cancelled()}, timeout=_DRAIN_TIMEOUT)
+        return core.report(clock())

@@ -41,53 +41,30 @@ hello, and the server enables it only when constructed with
 the 8-byte length prefix marks a compressed frame, so small frames
 (heartbeats, pulls) skip compression with zero overhead.
 
-Two further coordinator-throughput features are negotiated the same way:
-
-* **Zero-copy tally transport** (``"codec"``): a client that advertises
-  support ships each result's tally as one contiguous
-  :class:`~repro.io.codec.EncodedTally` buffer instead of a pickled
-  :class:`~repro.core.tally.Tally`; the server reconstructs it as
-  ``np.frombuffer`` views into the received frame (the frame itself is
-  read with ``recv_into`` into a preallocated ``bytearray``, so the bytes
-  are copied exactly once off the socket).  On by default on both sides;
-  a legacy peer simply keeps the pickled form.
-* **Span dispatch** (``span_size``): tasks are grouped into tree-aligned
-  :class:`~repro.distributed.protocol.SpanSpec` units; the client folds
-  each span worker-side (``reduce.worker_folds`` counts the merges the
-  server no longer performs) and returns one partial per span, dropping
-  result payload count from n_tasks to n_spans bit-identically.
+Zero-copy tally transport (``"codec"``) is negotiated the same way: a
+client that advertises support ships each result's tally as one contiguous
+:class:`~repro.io.codec.EncodedTally` buffer instead of a pickled
+:class:`~repro.core.tally.Tally`; the server reconstructs it as
+``np.frombuffer`` views into the received frame (the frame itself is read
+with ``recv_into`` into a preallocated ``bytearray``, so the bytes are
+copied exactly once off the socket).  On by default on both sides; a legacy
+peer simply keeps the pickled form.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import pickle
-import queue
 import socket
 import struct
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
-from ..core.config import SimulationConfig
-from ..core.reduce import PairwiseReducer
-from ..core.simulation import KernelName, split_photons
-from ..core.tally import Tally
-from .checkpoint import CheckpointManager, run_key
-from .datamanager import RunReport
-from .health import WorkerHealth
-from .protocol import (
-    ResultValidationError,
-    SpanSpec,
-    TaskResult,
-    TaskSpec,
-    freeze_result,
-    make_units,
-    thaw_result,
-    validate_result,
-)
+from .lifecycle import Attempt, RunPlan, RunReport, TaskLifecycle
+from .protocol import SpanSpec, TaskResult, TaskSpec, freeze_result
 from .worker import execute_unit
 
 __all__ = [
@@ -113,9 +90,6 @@ _COMPRESS_MIN = 1 << 10
 
 #: Refuse messages above this size (corrupt length prefix guard).
 _MAX_MESSAGE = 1 << 30
-
-#: How often an idle handler re-checks the task queue / scans for stragglers.
-_DISPATCH_POLL = 0.05
 
 
 class ProtocolError(ConnectionError):
@@ -217,32 +191,23 @@ class _WorkerHung(ConnectionError):
     """A connected client stopped sending heartbeats mid-task."""
 
 
-@dataclass
-class NetworkServer:
+@dataclass(kw_only=True)
+class NetworkServer(RunPlan):
     """The DataManager as a TCP server.
 
-    Parameters mirror :class:`~repro.distributed.datamanager.DataManager`;
-    ``host``/``port`` choose the listening endpoint (port 0 picks a free
-    port, exposed as :attr:`port` after :meth:`start`).
+    Takes every :class:`~repro.distributed.lifecycle.RunPlan` field — the
+    scheduling rules are the same
+    :class:`~repro.distributed.lifecycle.TaskLifecycle` core the executor
+    backends run under, called here under one lock — plus the transport's
+    own knobs:
 
-    Fault-tolerance knobs:
-
+    ``host`` / ``port``
+        The listening endpoint (port 0 picks a free port, exposed as
+        :attr:`port` after :meth:`start`).
     ``heartbeat_timeout``
         Seconds without any message from a client that is holding a task
         before it is declared hung, its connection dropped and its task
         reassigned.  ``None`` (default) disables hang detection.
-    ``task_deadline`` / ``max_speculative``
-        A task dispatched longer than ``task_deadline`` seconds ago is
-        speculatively re-dispatched to the next idle client (at most
-        ``max_speculative`` duplicates per task); the first result wins and
-        late duplicates are discarded by task index.
-    ``blacklist_after``
-        A client whose connection fails this many consecutive times stops
-        receiving tasks (it is sent ``done`` on its next pull).
-    ``checkpoint``
-        A :class:`~repro.distributed.checkpoint.CheckpointManager` or
-        directory path; completed tasks are persisted as they merge and
-        reloaded by a future server with the same run key.
     ``compress``
         Offer zlib frame compression to clients (negotiated per
         connection; a client that does not advertise support keeps an
@@ -253,34 +218,13 @@ class NetworkServer:
         returns each tally as one :class:`~repro.io.codec.EncodedTally`
         buffer, decoded server-side into ``np.frombuffer`` views; the
         ``codec.bytes`` / ``codec.bytes_saved`` counters quantify it.
-    ``span_size``
-        Tasks per dispatch unit (``None`` keeps per-task dispatch): tasks
-        are grouped into tree-aligned spans, each client folds its span
-        into the canonical subtree partial and the server performs one
-        merge per span instead of per task — bit-identically (the
-        ``reduce.worker_folds`` counter reports the merges delegated).
-    ``sub_batch``
-        Vectorized-kernel sub-batch override shipped with every task
-        (execution-only; participates in the checkpoint run key).
-    ``capture_paths``
-        Ship ``capture_paths=True`` with every task: clients record
-        per-detected-photon path records, sealed under the task index, so
-        the merged ``Tally.paths`` is bit-identical to a serial capture
-        run of the same ``task_size`` (raw material for
-        :mod:`repro.perturb`).
-    ``retain_task_tallies``
-        As on :class:`~repro.distributed.datamanager.DataManager`:
-        ``False`` releases each task tally once it is folded into the
-        incremental pairwise reduction, bounding resident tallies at
-        ~⌈log₂ n_tasks⌉ + tasks in flight.
-    ``telemetry``
-        Optional :class:`~repro.observe.Telemetry`.  The server then emits
-        per-task wire round-trip spans (``net.task``) and counts traffic
-        (``net.bytes_sent`` / ``net.bytes_recv``, plus ``net.bytes_saved``
-        when compression is active), round-trips, heartbeats (with a
-        ``net.heartbeat_gap_s`` histogram of inter-message gaps while a
-        client computes) and connected clients, and attaches the final
-        metrics snapshot to the :class:`RunReport`.
+
+    A blacklisted client (``blacklist_after``) is refused work: its next
+    pull is answered with ``done``.  With ``telemetry`` the server also
+    counts traffic (``net.bytes_sent`` / ``net.bytes_recv``, plus
+    ``net.bytes_saved`` when compression is active), round-trips,
+    heartbeats (with a ``net.heartbeat_gap_s`` histogram of inter-message
+    gaps while a client computes) and connected clients.
 
     Usage::
 
@@ -290,278 +234,80 @@ class NetworkServer:
         report = server.wait(timeout=3600)
     """
 
-    config: SimulationConfig
-    n_photons: int
-    seed: int = 0
-    task_size: int = 100_000
-    kernel: KernelName = "vector"
-    max_retries: int = 2
     host: str = "127.0.0.1"
     port: int = 0
     heartbeat_timeout: float | None = None
-    task_deadline: float | None = None
-    max_speculative: int = 1
-    blacklist_after: int | None = 3
-    checkpoint: CheckpointManager | str | Path | None = None
     compress: bool = False
     codec: bool = True
-    retain_task_tallies: bool = True
-    telemetry: object | None = None
-    span_size: int | None = None
-    sub_batch: int | None = None
-    capture_paths: bool = False
-
-    _listener: socket.socket | None = field(init=False, default=None)
-    _threads: list[threading.Thread] = field(init=False, default_factory=list)
-    _queue: "queue.Queue[tuple[TaskSpec, int]]" = field(init=False, default=None)
-    _n_units: int = field(init=False, default=0)
-    _lock: threading.Lock = field(init=False, default_factory=threading.Lock)
-    _results: dict[int, TaskResult] = field(init=False, default_factory=dict)
-    _retries: int = field(init=False, default=0)
-    _failures: dict[int, int] = field(init=False, default_factory=dict)
-    _spec_count: dict[int, int] = field(init=False, default_factory=dict)
-    _speculative: int = field(init=False, default=0)
-    _inflight_count: dict[int, int] = field(init=False, default_factory=dict)
-    _inflight_task: dict[int, TaskSpec] = field(init=False, default_factory=dict)
-    _dispatch_times: dict[int, float] = field(init=False, default_factory=dict)
-    _failure: BaseException | None = field(init=False, default=None)
-    _complete: threading.Event = field(init=False, default_factory=threading.Event)
-    _started_at: float = field(init=False, default=0.0)
-    _n_tasks: int = field(init=False, default=0)
-    _health: WorkerHealth = field(init=False, default=None)
-    _reducer: PairwiseReducer | None = field(init=False, default=None)
-    _ckpt: CheckpointManager | None = field(init=False, default=None)
-    _conns: set = field(init=False, default_factory=set)
-    _closed: bool = field(init=False, default=False)
-    _close_lock: threading.Lock = field(init=False, default_factory=threading.Lock)
 
     def __post_init__(self) -> None:
-        if self.n_photons < 0:
-            raise ValueError(f"n_photons must be >= 0, got {self.n_photons}")
-        if self.task_size <= 0:
-            raise ValueError(f"task_size must be > 0, got {self.task_size}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        super().__post_init__()
         if self.heartbeat_timeout is not None and self.heartbeat_timeout <= 0:
             raise ValueError(
                 f"heartbeat_timeout must be > 0 or None, got {self.heartbeat_timeout}"
             )
-        if self.task_deadline is not None and self.task_deadline <= 0:
-            raise ValueError(
-                f"task_deadline must be > 0 or None, got {self.task_deadline}"
-            )
-        if self.max_speculative < 0:
-            raise ValueError(
-                f"max_speculative must be >= 0, got {self.max_speculative}"
-            )
-        if self.span_size is not None and self.span_size < 1:
-            raise ValueError(
-                f"span_size must be >= 1 or None, got {self.span_size}"
-            )
-        if self.sub_batch is not None and self.sub_batch <= 0:
-            raise ValueError(f"sub_batch must be > 0 or None, got {self.sub_batch}")
-
-    def run_key(self) -> dict:
-        """Identity of this run's decomposition (for checkpoint matching)."""
-        return run_key(
-            n_photons=self.n_photons,
-            seed=self.seed,
-            task_size=self.task_size,
-            kernel=self.kernel,
-            span_size=self.span_size,
-            sub_batch=self.sub_batch,
-            capture_paths=self.capture_paths,
-        )
-
-    def _fold(self, idx: int, result: TaskResult) -> None:
-        """Feed a merged unit's tally into the reduction tree (lock held)."""
-        leaf = result.tally
-        span = result.span
-        if not self.retain_task_tallies:
-            result.release_tally()
-        # Codec-decoded tallies may be zero-copy views into a read-only
-        # buffer; the reducer may only accumulate into writable arrays.
-        owned = (
-            not self.retain_task_tallies
-        ) and leaf.absorbed_by_layer.flags.writeable
-        if span is not None:
-            self._reducer.add_span(span[0], span[1], leaf, owned=owned)
-            if self.telemetry is not None and span[1] - span[0] > 1:
-                self.telemetry.count("reduce.worker_folds", span[1] - span[0] - 1)
-        else:
-            self._reducer.add(idx, leaf, owned=owned)
+        self._listener: socket.socket | None = None
+        self._core: TaskLifecycle | None = None
+        # Guards the core, the thread and connection lists and ``_closed``;
+        # notified whenever an attempt settles or the server closes, which
+        # is all that can change what the core answers a waiting handler.
+        self._cond = threading.Condition()
+        self._threads: list[threading.Thread] = []
+        self._conns: set[socket.socket] = set()
+        self._closed = False
 
     def start(self) -> "NetworkServer":
         """Bind, listen and start accepting clients (returns self)."""
         if self._listener is not None:
             raise RuntimeError("server already started")
-        self._health = WorkerHealth(blacklist_after=self.blacklist_after)
-        tasks = [
-            TaskSpec(
-                task_index=i, n_photons=count, seed=self.seed, kernel=self.kernel,
-                sub_batch=self.sub_batch, capture_paths=self.capture_paths,
-            )
-            for i, count in enumerate(split_photons(self.n_photons, self.task_size))
-        ]
-        units = make_units(tasks, self.span_size)
-        self._n_tasks = len(tasks)
-        self._n_units = len(units)
-        if self.checkpoint is not None:
-            self._ckpt = (
-                self.checkpoint
-                if isinstance(self.checkpoint, CheckpointManager)
-                else CheckpointManager(self.checkpoint)
-            )
-            restored = self._ckpt.load(self.run_key())
-            self._results.update(
-                (i, r) for i, r in restored.items() if i < self._n_units
-            )
-            if self._results:
-                logger.info(
-                    "resumed %d completed units from checkpoint %s",
-                    len(self._results), self._ckpt.directory,
-                )
-        # Results fold into the canonical pairwise tree as they arrive;
-        # checkpointed results re-enter through the same reducer, so a
-        # resumed run stays bit-identical to an uninterrupted one.  Span
-        # partials enter at their subtree node (add_span).
-        if self._n_tasks:
-            self._reducer = PairwiseReducer(self._n_tasks, telemetry=self.telemetry)
-            for i in sorted(self._results):
-                self._fold(i, self._results[i])
-        self._queue = queue.Queue()
-        for unit in units:
-            if unit.task_index not in self._results:
-                self._queue.put((unit, 1))
-        if len(self._results) == self._n_units:
-            self._complete.set()
-
+        self._core = TaskLifecycle(self, time.perf_counter())
         self._listener = socket.create_server((self.host, self.port))
         self.port = self._listener.getsockname()[1]
-        self._started_at = time.perf_counter()
-        if self.telemetry is not None:
-            self.telemetry.emit(
-                "run_start",
-                n_tasks=self._n_tasks,
-                n_photons=self.n_photons,
-                restored=len(self._results),
-                kernel=self.kernel,
-                port=self.port,
-            )
         acceptor = threading.Thread(target=self._accept_loop, daemon=True)
         acceptor.start()
         self._threads.append(acceptor)
         return self
 
     def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while not self._complete.is_set():
+        while True:
             try:
                 conn, _addr = self._listener.accept()
             except OSError:
-                return  # listener closed
+                return  # listener shut down by close()
             handler = threading.Thread(
                 target=self._serve_client, args=(conn,), daemon=True
             )
+            with self._cond:
+                if self._closed:
+                    conn.close()
+                    return
+                self._threads.append(handler)
             handler.start()
-            self._threads.append(handler)
 
-    def _all_merged(self) -> bool:
-        with self._lock:
-            return len(self._results) == self._n_units
+    def _claim(self, worker: str) -> Attempt | None:
+        """Block until the core has a unit for ``worker``; None means done."""
+        with self._cond:
+            while not self._closed:
+                now = time.perf_counter()
+                step = self._core.next_unit(now, worker)
+                if step is None or isinstance(step, Attempt):
+                    return step
+                # Sleep to the next deadline crossing or backoff release;
+                # a settling attempt or close() wakes us sooner.
+                self._cond.wait(None if step == math.inf else max(0.0, step - now))
+            return None
 
-    def _next_task(self) -> tuple[TaskSpec, int] | None:
-        """Pull the next live task, blocking; None means the run is over.
-
-        Replaces the old busy-wait (``get_nowait`` + ``sleep``) with a
-        blocking ``get``; the timeout exists only so an idle handler can
-        notice completion and scan for stragglers to speculate on.
-        """
-        while True:
-            try:
-                task, attempt = self._queue.get(timeout=_DISPATCH_POLL)
-            except queue.Empty:
-                if self._complete.is_set() or self._all_merged():
-                    return None
-                self._maybe_speculate()
-                continue
-            with self._lock:
-                if task.task_index in self._results:
-                    continue  # stale retry/speculative entry; drop it
-            return task, attempt
-
-    def _maybe_speculate(self) -> None:
-        """Re-dispatch straggling tasks past their deadline to idle clients."""
-        if self.task_deadline is None:
-            return
-        now = time.perf_counter()
-        with self._lock:
-            for idx, count in self._inflight_count.items():
-                if count <= 0 or idx in self._results:
-                    continue
-                if now - self._dispatch_times[idx] <= self.task_deadline:
-                    continue
-                if self._spec_count.get(idx, 0) >= self.max_speculative:
-                    continue
-                self._spec_count[idx] = self._spec_count.get(idx, 0) + 1
-                self._speculative += 1
-                task = self._inflight_task[idx]
-                attempt = self._failures.get(idx, 0) + self._spec_count[idx] + 1
-                logger.info(
-                    "task %d exceeded the %.2fs deadline; "
-                    "queueing speculative duplicate",
-                    idx, self.task_deadline,
-                )
-                self._queue.put((task, attempt))
-
-    def _record_dispatch(self, task: TaskSpec, attempt: int) -> None:
-        with self._lock:
-            idx = task.task_index
-            self._inflight_count[idx] = self._inflight_count.get(idx, 0) + 1
-            self._inflight_task[idx] = task
-            self._dispatch_times[idx] = time.perf_counter()
-
-    def _record_settled(self, task: TaskSpec) -> None:
-        with self._lock:
-            idx = task.task_index
-            self._inflight_count[idx] = max(0, self._inflight_count.get(idx, 0) - 1)
-
-    def _handle_failure(
-        self, task: TaskSpec, attempt: int, error: BaseException
-    ) -> None:
-        """A dispatched attempt was lost or rejected: requeue or give up."""
-        with self._lock:
-            idx = task.task_index
-            if idx in self._results or self._closed:
-                return  # a duplicate already delivered, or the run is over
-            self._failures[idx] = self._failures.get(idx, 0) + 1
-            if self._failures[idx] > self.max_retries:
-                if self._inflight_count.get(idx, 0) > 0:
-                    return  # a speculative sibling is still out there
-                self._failure = error
-                self._complete.set()
-                return
-            self._retries += 1
-            logger.info(
-                "reassigning task %d (attempt %d)", idx, attempt + 1
-            )
-            self._queue.put((task, attempt + 1))
-
-    def _merge_result(self, worker: str, task: TaskSpec, result: TaskResult) -> None:
-        with self._lock:
-            idx = result.task_index
-            if idx in self._results:
-                # Speculative duplicate: discarded *before* reduction, so it
-                # can never be double-counted in the merged tally.
-                logger.info("discarding duplicate result of task %d", idx)
-                return
-            self._results[idx] = result
-            if self._ckpt is not None:
-                self._ckpt.record(result)
-            self._fold(idx, result)
-            if len(self._results) == self._n_units:
-                self._complete.set()
-        self._health.record_success(worker, result.elapsed_seconds)
+    def _settle(self, attempt: Attempt, *, result=None, error=None) -> None:
+        """Report an attempt's outcome to the core and wake waiting handlers."""
+        with self._cond:
+            if self._closed and not self._core.finished:
+                return  # severed by close(): the run is being abandoned
+            now = time.perf_counter()
+            if error is None:
+                self._core.on_result(attempt, result, now)
+            else:
+                self._core.on_failure(attempt, error, now)
+            self._cond.notify_all()
 
     def _send(self, conn: socket.socket, obj, *, compress: bool = False) -> None:
         tel = self.telemetry
@@ -580,20 +326,48 @@ class NetworkServer:
             conn, size_cb=tel.registry.counter("net.bytes_recv").add
         )
 
-    def _client_gauge(self, delta: int) -> None:
+    def _track_conn(self, conn: socket.socket, connected: bool) -> None:
+        with self._cond:
+            if connected:
+                self._conns.add(conn)
+            else:
+                self._conns.discard(conn)
+            if self.telemetry is not None:
+                self.telemetry.gauge("net.clients", len(self._conns))
+
+    def _await_result(self, conn: socket.socket, worker: str) -> TaskResult:
+        """Read until the client's result; heartbeats keep the window open,
+        and a silent-but-connected client trips ``heartbeat_timeout``."""
         tel = self.telemetry
-        if tel is not None:
-            with self._lock:
-                tel.gauge("net.clients", len(self._conns))
+        if self.heartbeat_timeout is not None:
+            conn.settimeout(self.heartbeat_timeout)
+        last_message = time.perf_counter()
+        try:
+            while True:
+                try:
+                    reply = self._recv(conn)
+                except (socket.timeout, TimeoutError):
+                    raise _WorkerHung(
+                        f"no heartbeat from {worker} within {self.heartbeat_timeout}s"
+                    ) from None
+                if tel is not None:
+                    now = time.perf_counter()
+                    tel.observe("net.heartbeat_gap_s", now - last_message)
+                    last_message = now
+                if reply.get("type") == "heartbeat":
+                    if tel is not None:
+                        tel.registry.counter("net.heartbeats").inc()
+                    continue
+                if reply.get("type") != "result":
+                    raise ProtocolError(f"expected result, got {reply!r}")
+                return reply["result"]
+        finally:
+            conn.settimeout(None)
 
     def _serve_client(self, conn: socket.socket) -> None:
-        in_flight: tuple[TaskSpec, int] | None = None
-        task_span = None
+        attempt: Attempt | None = None
         worker = "?"
-        tel = self.telemetry
-        with self._lock:
-            self._conns.add(conn)
-        self._client_gauge(+1)
+        self._track_conn(conn, True)
         try:
             with conn:
                 hello = self._recv(conn)
@@ -623,185 +397,81 @@ class NetworkServer:
                         continue  # idle heartbeats are harmless noise
                     if pull.get("type") != "next":
                         raise ProtocolError(f"expected next, got {pull!r}")
-                    if self._health.is_blacklisted(worker):
-                        logger.warning(
-                            "worker %s is blacklisted; refusing work", worker
-                        )
+                    attempt = self._claim(worker)
+                    if attempt is None:
                         self._send(conn, {"type": "done"})
                         return
-                    handout = self._next_task()
-                    if handout is None:
-                        self._send(conn, {"type": "done"})
-                        return
-                    task, attempt = handout
-                    self._record_dispatch(task, attempt)
-                    in_flight = (task, attempt)
-                    if tel is not None:
-                        task_span = tel.span_begin(
-                            "net.task", task=task.task_index, attempt=attempt,
-                            worker=worker, photons=task.n_photons,
-                        )
                     self._send(
                         conn,
-                        {"type": "task", "task": task, "attempt": attempt},
+                        {"type": "task", "task": attempt.unit, "attempt": attempt.number},
                         compress=wire_compress,
                     )
-
-                    # Await the result; heartbeats keep the window open, and
-                    # a silent-but-connected client trips the timeout.
-                    if self.heartbeat_timeout is not None:
-                        conn.settimeout(self.heartbeat_timeout)
-                    last_message = time.perf_counter()
-                    try:
-                        while True:
-                            try:
-                                reply = self._recv(conn)
-                            except (socket.timeout, TimeoutError):
-                                raise _WorkerHung(
-                                    f"no heartbeat from {worker} within "
-                                    f"{self.heartbeat_timeout}s"
-                                ) from None
-                            if tel is not None:
-                                now = time.perf_counter()
-                                tel.observe(
-                                    "net.heartbeat_gap_s", now - last_message
-                                )
-                                last_message = now
-                            if reply.get("type") == "heartbeat":
-                                if tel is not None:
-                                    tel.registry.counter("net.heartbeats").inc()
-                                continue
-                            if reply.get("type") != "result":
-                                raise ProtocolError(f"expected result, got {reply!r}")
-                            break
-                    finally:
-                        conn.settimeout(None)
-                    result: TaskResult = reply["result"]
-                    self._record_settled(task)
-                    in_flight = None
-                    if tel is not None:
-                        tel.count("net.round_trips", worker=worker)
-                    try:
-                        # Decode a codec-encoded tally before validation;
-                        # CodecError is a ValueError, so a corrupt encoded
-                        # payload is rejected and retried like any other
-                        # bad result rather than crashing the handler.
-                        thaw_result(result, telemetry=tel)
-                        validate_result(result, task)
-                    except ValueError as error:
-                        logger.warning(
-                            "rejecting result of task %d from %s: %s",
-                            task.task_index, worker, error,
-                        )
-                        if tel is not None and task_span is not None:
-                            tel.span_finish(
-                                "net.task", task_span, outcome="rejected"
-                            )
-                            task_span = None
-                        self._health.record_failure(worker)
-                        self._handle_failure(task, attempt, error)
-                        continue
-                    n_launched = result.tally.n_launched
-                    self._merge_result(worker, task, result)
-                    if tel is not None:
-                        if task_span is not None:
-                            tel.span_finish("net.task", task_span, outcome="merged")
-                            task_span = None
-                        tel.count("worker.photons", n_launched, worker=worker)
-                        tel.observe("task.seconds", result.elapsed_seconds)
-                        with self._lock:
-                            done, total = len(self._results), self._n_units
-                        tel.progress_update(done, total)
-        except BaseException as error:  # noqa: BLE001 - client vanished/hung
+                    result = self._await_result(conn, worker)
+                    if self.telemetry is not None:
+                        self.telemetry.count("net.round_trips", worker=worker)
+                    settled, attempt = attempt, None
+                    self._settle(settled, result=result)
+        except Exception as error:  # noqa: BLE001 - client vanished, hung or sent garbage
             logger.warning("client connection ended: %r", error)
-            if in_flight is not None:
-                task, attempt = in_flight
-                self._record_settled(task)
-                if tel is not None and task_span is not None:
-                    tel.span_finish("net.task", task_span, outcome="lost")
-                self._health.record_failure(worker)
-                self._handle_failure(task, attempt, error)
+            if attempt is not None:
+                self._settle(attempt, error=error)
         finally:
-            with self._lock:
-                self._conns.discard(conn)
-            self._client_gauge(-1)
+            self._track_conn(conn, False)
 
     def wait(self, timeout: float | None = None) -> RunReport:
         """Block until every task is merged; return the report."""
-        if not self._complete.wait(timeout):
+        with self._cond:
+            finished = self._cond.wait_for(lambda: self._core.finished, timeout)
+        if not finished:
             raise TimeoutError(f"distributed run incomplete after {timeout}s")
         self.close()
-        if self._failure is not None:
-            raise RuntimeError(
-                "a task exhausted its retry budget"
-            ) from self._failure
-        ordered = [self._results[i] for i in range(self._n_units)]
-        tel = self.telemetry
-        if self._reducer is not None:
-            # Every result was folded in as it arrived — no end-of-run
-            # merge pass (and no "merge" span) remains.
-            tally = self._reducer.result()
-        else:
-            tally = Tally(n_layers=len(self.config.stack), records=self.config.records)
-        health = self._health.snapshot() if self._health is not None else {}
-        wall = time.perf_counter() - self._started_at
-        metrics = None
-        if tel is not None:
-            tel.gauge("run.photons_per_s", tally.n_launched / wall if wall else 0.0)
-            tel.emit("run_end", n_tasks=self._n_tasks, wall_seconds=wall,
-                     retries=self._retries, speculative=self._speculative)
-            metrics = tel.snapshot()
-        return RunReport(
-            tally=tally,
-            task_results=ordered,
-            wall_seconds=wall,
-            retries=self._retries,
-            speculative_duplicates=self._speculative,
-            worker_health=health,
-            metrics=metrics,
-        )
+        return self._core.report(time.perf_counter())
 
     def close(self) -> None:
-        """Stop accepting clients, release the port and join handler threads.
+        """Stop accepting clients, release the port and join every thread.
 
         Idempotent: safe to call repeatedly (``wait`` calls it on success,
         error paths call it again).  Joining the handler threads means a
         timed-out ``wait`` does not leak daemon threads blocked on reads.
         """
-        with self._close_lock:
+        with self._cond:
             first = not self._closed
             self._closed = True
-        self._complete.set()
+            self._cond.notify_all()  # idle handlers dismiss their clients
         if first and self._listener is not None:
+            # close() alone does not wake a thread blocked in accept() on
+            # Linux; shutdown() does, so the acceptor exits at once.
             try:
-                self._listener.close()
-            except OSError:  # pragma: no cover
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
                 pass
+            self._listener.close()
         # Grace period: handlers answer their client's final pull with
         # "done" and exit on their own — force-closing immediately would
         # sever clients mid-farewell.
-        current = threading.current_thread()
-        deadline = time.monotonic() + 2.0
-        for thread in list(self._threads):
-            if thread is not current:
-                thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        self._join_threads(2.0)
         # Anything still alive is stuck on a silent peer: sever it.
-        with self._lock:
+        with self._cond:
             conns = list(self._conns)
         for conn in conns:
             try:
                 conn.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
-        for thread in list(self._threads):
+            conn.close()
+        self._join_threads(5.0)
+        if self._core is not None:
+            self._core.flush()
+
+    def _join_threads(self, budget: float) -> None:
+        """Join the acceptor and every handler, within ``budget`` seconds in all."""
+        current = threading.current_thread()
+        deadline = time.monotonic() + budget
+        with self._cond:
+            threads = list(self._threads)
+        for thread in threads:
             if thread is not current:
-                thread.join(timeout=5.0)
-        if self._ckpt is not None:
-            self._ckpt.flush()
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
 
 
 def run_network_client(

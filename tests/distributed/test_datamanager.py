@@ -9,6 +9,7 @@ from repro.core import Simulation, SimulationConfig
 from repro.distributed import (
     DataManager,
     FaultInjector,
+    NetworkServer,
     SerialBackend,
     TaskFailedError,
     ThreadBackend,
@@ -203,21 +204,18 @@ class TestExecuteTask:
 
 
 class TestPositionalDeprecation:
-    """Direct positional construction beyond (config, n_photons) is deprecated."""
+    """The positional tail, deprecated since PR 2, is gone: keywords only."""
 
-    def test_keyword_construction_is_silent(self, fast_config, recwarn):
+    def test_keyword_construction_is_silent(self, fast_config):
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            DataManager(fast_config, 100, seed=1, task_size=50)
+            manager = DataManager(fast_config, 100, seed=7, task_size=50)
+        assert (manager.seed, manager.task_size) == (7, 50)
+        assert manager.run(SerialBackend()).tally.n_launched == 100
 
-    def test_positional_tail_warns_and_still_works(self, fast_config):
-        import warnings
-
-        with pytest.warns(DeprecationWarning, match="positional"):
-            manager = DataManager(fast_config, 100, 7, 50)
-        assert manager.seed == 7
-        assert manager.task_size == 50
-        report = manager.run(SerialBackend())
-        assert report.tally.n_launched == 100
+    @pytest.mark.parametrize("cls", [DataManager, NetworkServer])
+    def test_positional_tail_is_a_type_error(self, fast_config, cls):
+        with pytest.raises(TypeError, match="positional"):
+            cls(fast_config, 100, 7, 50)

@@ -108,18 +108,6 @@ class TestCorruptResult:
 
 
 class TestBackoff:
-    def test_exponential_schedule(self, fast_config):
-        manager = DataManager(
-            fast_config, 100, retry_backoff=0.05, retry_backoff_cap=0.15
-        )
-        assert manager._backoff(1) == pytest.approx(0.05)
-        assert manager._backoff(2) == pytest.approx(0.10)
-        assert manager._backoff(3) == pytest.approx(0.15)  # capped
-        assert manager._backoff(10) == pytest.approx(0.15)
-
-    def test_disabled_by_default(self, fast_config):
-        assert DataManager(fast_config, 100)._backoff(5) == 0.0
-
     def test_backoff_run_still_bit_identical(self, fast_config):
         manager = DataManager(
             fast_config, 300, seed=2, task_size=100,

@@ -248,6 +248,34 @@ class TestNetworkRun:
             server.close()
 
 
+class TestShutdown:
+    def test_wait_returns_promptly_and_leaves_no_thread(self, net_config):
+        """Once the clients are dismissed, wait() is back within 0.5 s of the
+        last merge and nothing the server started outlives it."""
+        before = set(threading.enumerate())
+        merges: list[float] = []
+        server = NetworkServer(
+            net_config, n_photons=400, seed=3, task_size=100,
+            progress=lambda done, total: merges.append(time.perf_counter()),
+        ).start()
+        clients = run_clients(server.port, 2)
+        report = server.wait(timeout=120)
+        returned = time.perf_counter()
+        assert report.tally.n_launched == 400 and len(merges) == 4
+        assert returned - merges[-1] < 0.5
+        for t in clients:
+            t.join(timeout=30)
+        assert set(threading.enumerate()) - before == set()
+
+    def test_close_without_clients_leaves_no_thread(self, net_config):
+        before = set(threading.enumerate())
+        server = NetworkServer(net_config, n_photons=1000, task_size=100).start()
+        started = time.perf_counter()
+        server.close()
+        assert time.perf_counter() - started < 0.5
+        assert set(threading.enumerate()) - before == set()
+
+
 class TestNetworkFaults:
     def test_crashing_client_tasks_reassigned(self, net_config):
         """A client that vanishes mid-task must not lose its task."""

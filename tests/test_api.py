@@ -8,11 +8,16 @@ attaching in exactly one place.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import threading
 
 import pytest
 
 from repro.api import DEFAULT_TASK_SIZE, RunRequest, build_config, run
+from repro.core import Simulation
+from repro.distributed import run_network_client
+from repro.io import encode_tally
 from repro.observe import MemorySink, Telemetry, validate_event
 
 
@@ -199,3 +204,66 @@ class TestRunCheckpoint:
         )
         assert resumed.n_tasks == first.n_tasks
         assert _weights(first.tally) == _weights(resumed.tally)
+
+
+def run_in(mode, config, **fields):
+    """``run`` a request in ``mode``; a served run gets two TCP clients."""
+    clients = []
+
+    def launch(server):
+        for i in range(2):
+            client = threading.Thread(
+                target=run_network_client, args=("127.0.0.1", server.port),
+                kwargs={"worker_name": f"client-{i}"}, daemon=True,
+            )
+            client.start()
+            clients.append(client)
+
+    report = run(RunRequest(config=config, mode=mode, on_server_start=launch,
+                            serve_timeout=120, seed=13, task_size=100, **fields))
+    for client in clients:
+        client.join(timeout=30)
+    return report
+
+
+@pytest.mark.parametrize("mode", ["local", "serve"])
+class TestModeParity:
+    """One lifecycle core: the transport is all that differs between modes."""
+
+    def test_same_tally_events_and_counters(self, fast_config, mode):
+        tel = Telemetry(sink=MemorySink())
+        report = run_in(mode, fast_config, n_photons=450, telemetry=tel)
+        serial = Simulation(fast_config).run(450, seed=13, task_size=100)
+        assert (hashlib.sha256(encode_tally(report.tally)).hexdigest()
+                == hashlib.sha256(encode_tally(serial)).hexdigest())
+
+        def fields_of(kind):
+            (event,) = [e for e in tel.sink.events if e["event"] == kind]
+            stamps = ("event", "t", "ts", "wall_seconds")
+            return {k: v for k, v in event.items() if k not in stamps}
+
+        assert fields_of("run_start") == dict(
+            n_tasks=5, n_units=5, n_photons=450, restored=0, kernel="vector"
+        )
+        assert fields_of("run_end") == dict(n_tasks=5, retries=0, speculative=0)
+        counters = {
+            c["name"]: c["value"] for c in report.metrics["counters"] if not c["labels"]
+        }
+        assert counters["tasks.dispatched"] == 5
+        assert counters["tasks.completed"] == 5
+        assert counters["photons.traced"] == 450
+
+    def test_range_and_frontier_extension_match_a_cold_run(self, fast_config, mode):
+        cold = run_in("local", fast_config, n_photons=800)
+        # Budget extension: 400 photons first, then only the missing tasks.
+        base = run_in(mode, fast_config, n_photons=400, capture_frontier=True)
+        grown = run_in(mode, fast_config, n_photons=800, frontier=base.frontier)
+        assert grown.n_tasks == 4
+        assert grown.tally == cold.tally
+        # Partial ranges: tasks [0, 3), then the rest on top of their frontier.
+        head = run_in(mode, fast_config, n_photons=800, task_range=(0, 3),
+                      capture_frontier=True)
+        assert head.tally.n_launched == 300
+        rest = run_in(mode, fast_config, n_photons=800, task_range=(3, 8),
+                      frontier=head.frontier)
+        assert rest.tally == cold.tally
