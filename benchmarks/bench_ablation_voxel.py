@@ -1,10 +1,11 @@
 """Ablation — voxelised vs analytic layered representation.
 
 The paper (§2): the Monte Carlo method "can be applied to an inhomogeneous
-medium of complex geometry".  This bench checks the voxel kernel against
-the analytic layered kernel on the same physics, measures the voxelisation
-overhead, and demonstrates a genuinely heterogeneous case (an absorbing
-inclusion) that the layered representation cannot express.
+medium of complex geometry".  This bench runs the vectorised kernel on a
+voxel grid and on the analytic layer stack it voxelises, checks the two
+agree on the same physics, measures the voxelisation overhead, and
+demonstrates a genuinely heterogeneous case (an absorbing inclusion) that
+the layered representation cannot express.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from ..detect.gating import PathlengthGate, TimeGate
 from ..detect.records import GridSpec
 from ..sources.base import Source
 from ..tissue.layer import LayerStack
+from .geometry import SlabGeometry
 from .roulette import RouletteConfig
 
 __all__ = ["RecordConfig", "SimulationConfig", "BoundaryMode"]
@@ -128,6 +129,10 @@ class SimulationConfig:
         if isinstance(self.gate, TimeGate):
             return self.gate.to_pathlength_gate()
         return self.gate
+
+    def geometry(self) -> SlabGeometry:
+        """The layer stack as the vectorised loop's transport geometry."""
+        return SlabGeometry(self.stack, classical=self.boundary_mode == "classical")
 
     def with_(self, **changes) -> "SimulationConfig":
         """Functional update (thin wrapper over ``dataclasses.replace``)."""

@@ -106,7 +106,15 @@ def run_batch_scalar(
     maximum depth) on ``tally.paths``.  Capture consumes no RNG draws, so
     every other tally field is bit-identical with and without it; the
     caller seals the records under its task index.
+
+    Only layer stacks are traced: any other config (a voxel medium) raises
+    ``ValueError`` — the vectorised kernel serves every geometry.
     """
+    if not isinstance(config, SimulationConfig):
+        raise ValueError(
+            f"kernel 'scalar' traces layer stacks only, not {type(config).__name__}; "
+            "use kernel='vector'"
+        )
     if n_photons < 0:
         raise ValueError(f"n_photons must be >= 0, got {n_photons}")
     tally = Tally(n_layers=len(config.stack), records=config.records)

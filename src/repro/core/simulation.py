@@ -1,7 +1,8 @@
 """High-level simulation façade.
 
 ``Simulation`` is the single-process entry point: it owns a
-:class:`~repro.core.config.SimulationConfig`, splits the photon budget into
+:class:`~repro.core.config.SimulationConfig` (or a
+:class:`~repro.voxel.VoxelConfig`), splits the photon budget into
 tasks with independent RNG streams (exactly the decomposition the
 distributed ``DataManager`` uses), runs them through the selected kernel and
 merges the tallies.  Because the task decomposition and seeding are shared
@@ -11,8 +12,6 @@ same ``(config, n_photons, seed, task_size)`` produce *identical* results.
 
 from __future__ import annotations
 
-import inspect
-from functools import lru_cache
 from typing import Callable, Literal
 
 import numpy as np
@@ -29,28 +28,12 @@ __all__ = ["Simulation", "run_photons", "KernelName", "split_photons"]
 
 KernelName = Literal["vector", "scalar"]
 
-_KERNELS: dict[str, Callable[[SimulationConfig, int, np.random.Generator], Tally]] = {
-    "vector": run_batch_vectorized,
-    "scalar": run_batch_scalar,
+#: Each kernel and whether it takes ``sub_batch`` (the scalar kernel traces
+#: one photon at a time).  Both take ``telemetry`` and ``capture_paths``.
+_KERNELS: dict[str, tuple[Callable[..., Tally], bool]] = {
+    "vector": (run_batch_vectorized, True),
+    "scalar": (run_batch_scalar, False),
 }
-
-
-@lru_cache(maxsize=None)
-def _accepts_kwarg(fn: Callable, name: str) -> bool:
-    """Whether a registered kernel declares keyword parameter ``name``.
-
-    Kernels are an open registry (e.g. :mod:`repro.voxel` registers
-    ``"voxel"``), so optional keywords — ``telemetry``, ``sub_batch`` — are
-    forwarded only to kernels that opt in; an external kernel without the
-    parameter keeps working unchanged.
-    """
-    try:
-        params = inspect.signature(fn).parameters
-    except (TypeError, ValueError):  # builtins/callables without signatures
-        return False
-    return name in params or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-    )
 
 
 def run_photons(
@@ -74,27 +57,22 @@ def run_photons(
     bit-for-bit.  ``capture_paths`` asks the kernel to record per-detected-
     photon path records (``Tally.paths``, perturbation-MC raw material);
     the returned records are *unsealed* — the caller owns assigning the
-    task key via ``tally.paths.seal(task_index)``.  Kernels that do not
-    declare a parameter simply run without it (the scalar kernel has no
-    sub-batching; external kernels may predate path capture).
+    task key via ``tally.paths.seal(task_index)``.  The scalar kernel has
+    no sub-batching and ignores ``sub_batch``.
+
+    ``config`` may be a :class:`SimulationConfig` or a
+    :class:`~repro.voxel.VoxelConfig`; the vectorised kernel takes its
+    geometry from the config, the scalar kernel traces layer stacks only.
     """
     try:
-        fn = _KERNELS[kernel]
+        fn, sub_batched = _KERNELS[kernel]
     except KeyError:
         raise ValueError(
             f"unknown kernel {kernel!r}; choose from {sorted(_KERNELS)}"
         ) from None
-    kwargs = {}
-    if sub_batch is not None and _accepts_kwarg(fn, "sub_batch"):
+    kwargs = {"telemetry": telemetry, "capture_paths": capture_paths}
+    if sub_batch is not None and sub_batched:
         kwargs["sub_batch"] = sub_batch
-    if telemetry is not None and _accepts_kwarg(fn, "telemetry"):
-        kwargs["telemetry"] = telemetry
-    if capture_paths:
-        if not _accepts_kwarg(fn, "capture_paths"):
-            raise ValueError(
-                f"kernel {kernel!r} does not support capture_paths"
-            )
-        kwargs["capture_paths"] = True
     return fn(config, n_photons, rng, **kwargs)
 
 

@@ -1,4 +1,4 @@
-"""Vectorised production kernel.
+"""Vectorised production kernel: one transport loop over any geometry.
 
 Traces photons in structure-of-arrays sub-batches: one NumPy-vectorised
 "event" (boundary hit or scattering interaction) per live photon per loop
@@ -7,6 +7,14 @@ iteration.  Statistically identical to the scalar reference kernel
 headline quantity — but orders of magnitude faster, which is what makes
 laptop-scale reproduction of the paper's billion-photon experiments
 feasible.
+
+There are two transport loops in the package: the scalar reference and
+this one.  This loop serves every medium; the shape of the medium — layer
+stack or voxel grid — enters only through the config's
+:class:`~repro.core.geometry.Geometry` (region lookup, distance to the next
+boundary, boundary crossing).  Launch, step draws, moves, per-region
+pathlength capture, absorption, Henyey–Greenstein spin, roulette, escape
+scoring, path events and stream compaction are written once, here.
 
 Design notes (following this repo's HPC guides):
 
@@ -17,8 +25,8 @@ Design notes (following this repo's HPC guides):
   whenever the dead fraction passes a threshold, so the working arrays track
   the live population and per-iteration cost decays with it.  A ``gid``
   array maps compacted rows back to original photon ids for path recording.
-* Per-layer optical coefficients are gathered with a single fancy-index from
-  the :class:`~repro.tissue.layer.LayerStack` coefficient vectors.
+* Per-region optical coefficients are gathered with a single fancy-index
+  from the geometry's coefficient vectors.
 * Path recording ("save path" for detected photons, the Fig. 3 quantity)
   buffers interaction events as append-only arrays and periodically compacts
   them: events of dead-undetected photons are dropped, events of detected
@@ -35,6 +43,7 @@ import numpy as np
 
 from .config import SimulationConfig
 from .fresnel import fresnel_reflectance
+from .geometry import Geometry
 from .tally import Tally
 
 #: Square of the direction-cosine threshold for the near-vertical rotation
@@ -189,7 +198,10 @@ def run_batch_vectorized(
     Parameters
     ----------
     config:
-        The experiment description.
+        The experiment description: a
+        :class:`~repro.core.config.SimulationConfig` or a
+        :class:`~repro.voxel.VoxelConfig` — any config whose
+        ``geometry()`` returns a :class:`~repro.core.geometry.Geometry`.
     n_photons:
         Photons to launch.
     rng:
@@ -204,7 +216,7 @@ def run_batch_vectorized(
         adds a single identity check to the whole call — telemetry never
         enters the per-iteration loop.
     capture_paths:
-        Record per-detection-event path statistics (per-layer pathlength,
+        Record per-detection-event path statistics (per-region pathlength,
         exit weight, optical pathlength, maximum depth) on ``tally.paths``
         for perturbation Monte Carlo.  Capture consumes no RNG draws, so
         all other tally fields are bit-identical with and without it.
@@ -213,6 +225,7 @@ def run_batch_vectorized(
         raise ValueError(f"n_photons must be >= 0, got {n_photons}")
     if sub_batch <= 0:
         raise ValueError(f"sub_batch must be > 0, got {sub_batch}")
+    geometry = config.geometry()
     tally = Tally(n_layers=len(config.stack), records=config.records)
     if capture_paths:
         from ..detect.records import PathRecords
@@ -222,28 +235,101 @@ def run_batch_vectorized(
     while done < n_photons:
         n = min(sub_batch, n_photons - done)
         if telemetry is None:
-            _run_sub_batch(config, tally, n, rng)
+            _run_sub_batch(config, geometry, tally, n, rng)
         else:
             with telemetry.span("kernel.batch", kernel="vector", photons=n):
-                _run_sub_batch(config, tally, n, rng)
+                _run_sub_batch(config, geometry, tally, n, rng)
             telemetry.count("kernel.photons", n, kernel="vector")
         done += n
     return tally
 
 
+class _Batch:
+    """One sub-batch in flight: its photons, its randomness and its sinks.
+
+    A geometry's ``cross`` receives this, so boundary handling reaches the
+    photon state, the RNG, the tally and :meth:`score_escapes` without the
+    loop knowing which geometry it serves.
+    """
+
+    __slots__ = ("tally", "rng", "st", "detector", "gate", "detected")
+
+    def __init__(
+        self, config, tally: Tally, rng: np.random.Generator, st: _State
+    ) -> None:
+        self.tally = tally
+        self.rng = rng
+        self.st = st
+        self.detector = config.detector
+        self.gate = config.pathlength_gate()
+        #: Photons (by gid) detected since the last path-event compaction.
+        self.detected = np.zeros(st.size, dtype=bool)
+
+    def score_escapes(
+        self, idx: np.ndarray, going_up: np.ndarray, ew: np.ndarray, *, terminal: bool
+    ) -> None:
+        """Score weight ``ew`` leaving photons ``idx`` through the top
+        (``going_up``) or bottom face: reflectance/transmittance, detection,
+        gating, histograms and captured path records.
+
+        ``terminal`` marks escapes that end the photon (probabilistic
+        boundaries); classical-mode partial escapes keep the photon alive
+        and must not be counted in the per-photon penetration histogram.
+        """
+        st = self.st
+        tally = self.tally
+        if terminal:
+            tally.record_penetration(st.maxz[idx])
+        down = ~going_up
+        if np.any(down):
+            tally.transmittance_weight += float(ew[down].sum())
+        if not np.any(going_up):
+            return
+
+        ti = idx[going_up]
+        tx, ty, tuz = st.x[ti], st.y[ti], st.uz[ti]
+        tw, topl, tmaxz = ew[going_up], st.opl[ti], st.maxz[ti]
+
+        tally.diffuse_reflectance_weight += float(tw.sum())
+        if tally.reflectance_rho_hist is not None:
+            tally.reflectance_rho_hist.add(np.hypot(tx, ty), tw)
+
+        accepted = self.detector.accepts(tx, ty, tuz)
+        if self.gate is not None:
+            accepted &= self.gate.accepts(topl)
+        if not np.any(accepted):
+            return
+
+        tally.detected_count += int(accepted.sum())
+        tally.detected_weight += float(tw[accepted].sum())
+        tally.pathlength.add(topl[accepted], tw[accepted])
+        tally.penetration_depth.add(tmaxz[accepted], tw[accepted])
+        if tally.pathlength_hist is not None:
+            tally.pathlength_hist.add(topl[accepted], tw[accepted])
+        if tally.paths is not None:
+            tally.paths.append(
+                st.lpl[ti][accepted], tw[accepted], topl[accepted], tmaxz[accepted], 0
+            )
+        self.detected[st.gid[ti][accepted]] = True
+
+
 def _run_sub_batch(
-    config: SimulationConfig, tally: Tally, n: int, rng: np.random.Generator
+    config: SimulationConfig,
+    geometry: Geometry,
+    tally: Tally,
+    n: int,
+    rng: np.random.Generator,
 ) -> None:
-    stack = config.stack
-    n_layers = len(stack)
-    boundaries = stack.boundaries  # (n_layers + 1,)
-    gate = config.pathlength_gate()
+    mu_a_vec = geometry.mu_a
+    mu_t_vec = geometry.mu_t
+    g_vec = geometry.g
+    n_vec = geometry.n
+    n_regions = mu_t_vec.size
     record_path = tally.path_grid is not None
-    semi_infinite = stack.is_semi_infinite
     # Hot-loop fast-path flags, hoisted out of the iteration.
-    any_transparent = bool((stack.mu_t <= 0.0).any())
-    uniform_g = float(stack.g[0]) if bool((stack.g == stack.g[0]).all()) else None
-    single_layer = n_layers == 1
+    any_transparent = bool((mu_t_vec <= 0.0).any())
+    uniform_g = float(g_vec[0]) if bool((g_vec == g_vec[0]).all()) else None
+    single_region = n_regions == 1
 
     # --- initialise photons ----------------------------------------------------
     pos, dirs = config.source.sample(n, rng)
@@ -251,29 +337,17 @@ def _run_sub_batch(
     surface_launch = (pos[:, 2] == 0.0) & (dirs[:, 2] > 0.0)
     if np.any(surface_launch):
         _launch_through_surface(
-            dirs, w, surface_launch, stack.n_above, stack[0].properties.n, tally
+            dirs, w, surface_launch, geometry.n_above, geometry.n_entry, tally
         )
-
-    layer = np.zeros(n, dtype=np.int64)
-    buried = ~surface_launch
-    if np.any(buried):
-        idx = np.searchsorted(boundaries, pos[buried, 2], side="right") - 1
-        layer[buried] = np.minimum(np.maximum(idx, 0), n_layers - 1)
-
-    st = _State(pos, dirs, layer, w)
+    st = _State(pos, dirs, geometry.locate(pos, surface_launch), w)
     if tally.paths is not None:
-        st.lpl = np.zeros((n, n_layers))
+        st.lpl = np.zeros((n, n_regions))
     tally.n_launched += n
 
-    detected_flag = np.zeros(n, dtype=bool)
+    batch = _Batch(config, tally, rng, st)
     events = _PathEvents(config.records.path_grid) if record_path else None
     if record_path:
         events.append(st.gid, st.x, st.y, st.z, st.w)
-
-    mu_a_vec = stack.mu_a
-    mu_t_vec = stack.mu_t
-    g_vec = stack.g
-    n_vec = stack.n
 
     iteration = 0
     while st.size:
@@ -283,7 +357,7 @@ def _run_sub_batch(
             tally.record_penetration(st.maxz[st.alive])
             break
 
-        if single_layer:
+        if single_region:
             mu_t = mu_t_vec[0]
             n_med = n_vec[0]
         else:
@@ -301,15 +375,7 @@ def _run_sub_batch(
         else:
             d_step = st.s_dim / mu_t
 
-        d_bnd = np.full(st.size, np.inf)
-        up = st.uz < 0.0
-        down = st.uz > 0.0
-        if single_layer:
-            d_bnd[down] = (boundaries[1] - st.z[down]) / st.uz[down]
-            d_bnd[up] = (boundaries[0] - st.z[up]) / st.uz[up]
-        else:
-            d_bnd[down] = (boundaries[st.layer[down] + 1] - st.z[down]) / st.uz[down]
-            d_bnd[up] = (boundaries[st.layer[up]] - st.z[up]) / st.uz[up]
+        d_bnd = geometry.distance(st)
         # Round-off can leave a photon epsilon past its boundary; clamp.
         np.maximum(d_bnd, 0.0, out=d_bnd)
 
@@ -333,7 +399,7 @@ def _run_sub_batch(
         st.z += st.uz * d
         st.opl += n_med * d
         if st.lpl is not None:
-            if single_layer:
+            if single_region:
                 st.lpl[:, 0] += d
             else:
                 st.lpl[np.arange(st.size), st.layer] += d
@@ -349,21 +415,18 @@ def _run_sub_batch(
         ii = np.flatnonzero(hit != st.alive)  # alive & ~hit: interaction sites
 
         if bi.size:
-            _handle_boundaries(
-                config, tally, rng, gate, st, detected_flag, bi,
-                n_vec, n_layers, semi_infinite,
-            )
+            geometry.cross(batch, bi)
         if ii.size:
             _handle_interactions(
                 config, tally, rng, events, st, ii,
-                mu_a_vec, mu_t_vec, g_vec, uniform_g, single_layer,
+                mu_a_vec, mu_t_vec, g_vec, uniform_g, single_region,
             )
 
         if record_path and iteration % _COMPACT_EVERY == 0:
             alive_by_gid = np.zeros(n, dtype=bool)
             alive_by_gid[st.gid[st.alive]] = True
-            events.compact(alive_by_gid, detected_flag, tally.path_grid)
-            detected_flag[:] = False  # already deposited
+            events.compact(alive_by_gid, batch.detected, tally.path_grid)
+            batch.detected[:] = False  # already deposited
 
         # --- stream compaction -------------------------------------------------
         n_dead = st.size - int(np.count_nonzero(st.alive))
@@ -371,7 +434,7 @@ def _run_sub_batch(
             st.squeeze()
 
     if record_path:
-        events.compact(np.zeros(n, dtype=bool), detected_flag, tally.path_grid)
+        events.compact(np.zeros(n, dtype=bool), batch.detected, tally.path_grid)
 
 
 def _launch_through_surface(
@@ -405,166 +468,22 @@ def _launch_through_surface(
         dirs[mask] = sub / norm[:, None]
 
 
-def _handle_boundaries(
-    config, tally, rng, gate, st: _State, detected_flag, bi,
-    n_vec, n_layers, semi_infinite,
-) -> None:
-    """Medium-change handling for photons sitting exactly on an interface."""
-    buz = st.uz[bi]
-    blay = st.layer[bi]
-    going_up = buz < 0.0
-    exiting = (going_up & (blay == 0)) | (
-        ~going_up & (blay == n_layers - 1) & (not semi_infinite)
-    )
-
-    n_here = n_vec[blay]
-    next_lay = np.clip(blay + np.where(going_up, -1, 1), 0, n_layers - 1)
-    n_next = np.where(
-        exiting,
-        np.where(going_up, config.stack.n_above, config.stack.n_below),
-        n_vec[next_lay],
-    )
-
-    cos_i = np.abs(buz)
-    r_f = fresnel_reflectance(cos_i, n_here, n_next)
-
-    if config.boundary_mode == "classical":
-        classical_exit = exiting
-    else:
-        classical_exit = np.zeros_like(exiting)
-
-    if np.any(classical_exit):
-        ce = bi[classical_exit]
-        r_ce = r_f[classical_exit]
-        escaped = (1.0 - r_ce) * st.w[ce]
-        _score_escapes(
-            config, tally, gate, detected_flag,
-            st.gid[ce], st.x[ce], st.y[ce], st.uz[ce], escaped,
-            st.opl[ce], st.maxz[ce], going_up[classical_exit],
-            terminal=False,
-            elpl=None if st.lpl is None else st.lpl[ce],
-        )
-        st.w[ce] *= r_ce
-        st.uz[ce] = -st.uz[ce]
-        dead = st.w[ce] <= 0.0
-        if np.any(dead):
-            st.alive[ce[dead]] = False
-            tally.record_penetration(st.maxz[ce[dead]])
-
-    rest = ~classical_exit
-    if not np.any(rest):
-        return
-    ri = bi[rest]
-    r_rest = r_f[rest]
-    up_rest = going_up[rest]
-    exit_rest = exiting[rest]
-    n1 = n_here[rest]
-    n2 = n_next[rest]
-    nlay = next_lay[rest]
-
-    reflect = rng.random(ri.size) < r_rest
-
-    # Internal reflection: flip the z direction cosine.
-    refl_idx = ri[reflect]
-    st.uz[refl_idx] = -st.uz[refl_idx]
-
-    transmit = ~reflect
-    # Transmission out of the tissue: score and terminate.
-    out = transmit & exit_rest
-    if np.any(out):
-        oi = ri[out]
-        _score_escapes(
-            config, tally, gate, detected_flag,
-            st.gid[oi], st.x[oi], st.y[oi], st.uz[oi], st.w[oi],
-            st.opl[oi], st.maxz[oi], up_rest[out],
-            terminal=True,
-            elpl=None if st.lpl is None else st.lpl[oi],
-        )
-        st.alive[oi] = False
-        st.w[oi] = 0.0
-
-    # Transmission into the adjacent layer: Snell refraction.
-    inside = transmit & ~exit_rest
-    if np.any(inside):
-        si = ri[inside]
-        ratio = n1[inside] / n2[inside]
-        ci = np.abs(st.uz[si])
-        sin_t2 = ratio * ratio * (1.0 - ci * ci)
-        cos_t = np.sqrt(np.maximum(0.0, 1.0 - sin_t2))
-        st.ux[si] *= ratio
-        st.uy[si] *= ratio
-        st.uz[si] = np.copysign(cos_t, st.uz[si])
-        norm = np.sqrt(st.ux[si] ** 2 + st.uy[si] ** 2 + st.uz[si] ** 2)
-        st.ux[si] /= norm
-        st.uy[si] /= norm
-        st.uz[si] /= norm
-        st.layer[si] = nlay[inside]
-
-
-def _score_escapes(
-    config, tally, gate, detected_flag,
-    gids, ex, ey, euz, ew, eopl, emaxz, going_up,
-    *, terminal: bool, elpl=None,
-) -> None:
-    """Score escaping weight: reflectance/transmittance, detection, gating.
-
-    ``terminal`` marks escapes that end the photon (probabilistic mode);
-    classical-mode partial escapes keep the photon alive and must not be
-    counted in the per-photon penetration histogram.  ``elpl`` carries the
-    escaping photons' per-layer pathlengths when path records are captured.
-    """
-    if terminal:
-        tally.record_penetration(emaxz)
-    up = going_up
-    down = ~going_up
-    if np.any(down):
-        tally.transmittance_weight += float(ew[down].sum())
-    if not np.any(up):
-        return
-
-    tx, ty, tuz = ex[up], ey[up], euz[up]
-    tw, topl, tmaxz = ew[up], eopl[up], emaxz[up]
-    tg = gids[up]
-
-    tally.diffuse_reflectance_weight += float(tw.sum())
-    if tally.reflectance_rho_hist is not None:
-        tally.reflectance_rho_hist.add(np.hypot(tx, ty), tw)
-
-    accepted = config.detector.accepts(tx, ty, tuz)
-    if gate is not None:
-        accepted &= gate.accepts(topl)
-    if not np.any(accepted):
-        return
-
-    tally.detected_count += int(accepted.sum())
-    tally.detected_weight += float(tw[accepted].sum())
-    tally.pathlength.add(topl[accepted], tw[accepted])
-    tally.penetration_depth.add(tmaxz[accepted], tw[accepted])
-    if tally.pathlength_hist is not None:
-        tally.pathlength_hist.add(topl[accepted], tw[accepted])
-    if tally.paths is not None and elpl is not None:
-        tally.paths.append(
-            elpl[up][accepted], tw[accepted], topl[accepted], tmaxz[accepted], 0
-        )
-    detected_flag[tg[accepted]] = True
-
-
 def _handle_interactions(
     config, tally, rng, events, st: _State, ii,
-    mu_a_vec, mu_t_vec, g_vec, uniform_g, single_layer,
+    mu_a_vec, mu_t_vec, g_vec, uniform_g, single_region,
 ) -> None:
     """Drop (absorb) and spin (scatter) photons at interaction sites.
 
     This runs every loop iteration and dominates the per-iteration constant,
     so it avoids helper-function dispatch: the Henyey–Greenstein draw and the
     direction rotation are inlined with fast paths for the common case of a
-    single layer / uniform anisotropy.  The maths is identical to
+    single region / uniform anisotropy.  The maths is identical to
     :func:`repro.core.sampling.sample_hg_cosine` and
     :func:`repro.core.sampling.rotate_direction` (cross-checked in tests).
     """
     m = ii.size
     wi = st.w[ii]
-    if single_layer:
+    if single_region:
         mu_a = mu_a_vec[0]
         mu_t = mu_t_vec[0]
         # --- update absorption and photon weight -------------------------------

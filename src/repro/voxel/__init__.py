@@ -1,8 +1,10 @@
-"""Voxelised heterogeneous tissue media and their transport kernel.
+"""Voxelised heterogeneous tissue media.
 
-Importing this package registers the ``"voxel"`` kernel with
-:mod:`repro.core.simulation`, so voxel experiments run through the same
-``Simulation``/``DataManager`` entry points as layered ones:
+A :class:`VoxelConfig` runs through the same ``Simulation``/``DataManager``
+entry points as a layered one: its medium supplies the voxel-grid geometry
+of the one vectorised transport loop (:mod:`repro.core.vkernel`), which the
+default ``kernel="vector"`` runs.  The scalar reference kernel traces layer
+stacks only.
 
 >>> from repro.voxel import VoxelConfig, homogeneous_block, run_voxel
 >>> # ... build a medium, then:
@@ -11,11 +13,7 @@ Importing this package registers the ``"voxel"`` kernel with
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..core import simulation as _simulation
-from ..core.reduce import reduce_all
-from ..core.rng import task_rng
+from ..core.simulation import Simulation
 from ..core.tally import Tally
 from .builders import (
     from_layers,
@@ -25,7 +23,6 @@ from .builders import (
     with_sphere,
 )
 from .config import VoxelConfig
-from .kernel import run_voxel_batch
 from .medium import VoxelMedium
 
 __all__ = [
@@ -34,16 +31,10 @@ __all__ = [
     "from_layers",
     "homogeneous_block",
     "run_voxel",
-    "run_voxel_batch",
     "tilted_layers",
     "with_cylinder",
     "with_sphere",
 ]
-
-# Register the voxel kernel so run_photons(config, ..., kernel="voxel") and
-# therefore TaskSpec(kernel="voxel") work.  Worker processes that unpickle a
-# VoxelConfig import this package and get the registration for free.
-_simulation._KERNELS.setdefault("voxel", run_voxel_batch)
 
 
 def run_voxel(
@@ -53,15 +44,5 @@ def run_voxel(
     *,
     task_size: int | None = None,
 ) -> Tally:
-    """Single-process voxel simulation (mirrors ``Simulation.run``)."""
-    if task_size is None:
-        task_size = max(n_photons, 1)
-    tallies = [
-        run_voxel_batch(config, count, task_rng(seed, i))
-        for i, count in enumerate(_simulation.split_photons(n_photons, task_size))
-    ]
-    if not tallies:
-        return Tally(n_layers=config.medium.n_materials, records=config.records)
-    # Same canonical pairwise tree as Simulation/DataManager, so voxel runs
-    # keep the serial == distributed bit-identity contract.
-    return reduce_all(tallies, owned=True)
+    """Single-process voxel simulation: ``Simulation(config).run(...)``."""
+    return Simulation(config).run(n_photons, seed, task_size=task_size)

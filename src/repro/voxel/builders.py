@@ -2,7 +2,7 @@
 
 Constructors for the heterogeneous geometries a calibration study needs:
 voxelised versions of the plane-layer models (for cross-validation against
-the analytic-layer kernel), embedded spherical/cylindrical inclusions
+the analytic layer-stack geometry), embedded spherical/cylindrical inclusions
 (tumours, blood vessels), and tilted-layer wedges (sloping anatomy).
 """
 
@@ -60,8 +60,8 @@ def from_layers(
     last interior boundary.  ``depth`` defaults to the stack thickness for
     finite stacks and must be given for semi-infinite ones.
 
-    The result lets the voxel kernel be validated against the analytic
-    layered kernel on identical physics
+    The result lets the voxel-grid geometry be validated against the
+    analytic layer-stack geometry on identical physics
     (``tests/voxel/test_voxel_kernel.py``).
     """
     if depth is None:

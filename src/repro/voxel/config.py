@@ -1,11 +1,11 @@
 """Configuration for voxel-medium simulations.
 
 ``VoxelConfig`` mirrors :class:`repro.core.config.SimulationConfig` with a
-:class:`~repro.voxel.medium.VoxelMedium` in place of the layer stack, and
-exposes the small config surface the distributed platform touches
-(``records`` and a ``stack``-like sized object), so voxel experiments run
-through the same ``DataManager``/worker machinery by selecting the
-``"voxel"`` kernel.
+:class:`~repro.voxel.medium.VoxelMedium` in place of the layer stack.  It
+supplies the voxel-grid geometry to the vectorised kernel and exposes the
+small config surface the distributed platform touches (``records`` and a
+``stack``-like sized object), so voxel experiments run through the same
+``Simulation``/``DataManager``/worker machinery as layered ones.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from ..core.roulette import RouletteConfig
 from ..detect.detector import AcceptAll, Detector
 from ..detect.gating import PathlengthGate, TimeGate
 from ..sources.base import Source
-from .medium import VoxelMedium
+from .medium import VoxelGeometry, VoxelMedium
 
 __all__ = ["VoxelConfig"]
 
@@ -48,9 +48,9 @@ class VoxelConfig:
     def stack(self):
         """Material table, sized like a layer stack.
 
-        The distributed platform only ever asks ``len(config.stack)`` (to
-        shape an empty tally); for a voxel medium the per-"layer"
-        absorption slots are per-*material* slots.
+        The kernel and the distributed platform only ever ask
+        ``len(config.stack)`` (to shape a tally); for a voxel medium the
+        per-"layer" absorption slots are per-*material* slots.
         """
         return self.medium.materials
 
@@ -61,6 +61,10 @@ class VoxelConfig:
         if isinstance(self.gate, TimeGate):
             return self.gate.to_pathlength_gate()
         return self.gate
+
+    def geometry(self) -> VoxelGeometry:
+        """The voxel grid as the vectorised loop's transport geometry."""
+        return VoxelGeometry(self.medium)
 
     def with_(self, **changes) -> "VoxelConfig":
         """Functional update (thin wrapper over ``dataclasses.replace``)."""

@@ -20,7 +20,11 @@ Geometry conventions
 * All materials must share one refractive index: interior voxel faces are
   index-matched (true for every Table 1 tissue, all n = 1.4).  Mismatched
   interior indices would require per-face Fresnel events, which the
-  layered kernel already provides for stratified media.
+  layer-stack geometry already provides for stratified media.
+
+:class:`VoxelGeometry` is the grid as a transport geometry
+(:mod:`repro.core.geometry`): the one vectorised loop of
+:mod:`repro.core.vkernel` traces voxel media through it.
 """
 
 from __future__ import annotations
@@ -29,9 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.fresnel import fresnel_reflectance
 from ..tissue.optical import AMBIENT_REFRACTIVE_INDEX, OpticalProperties
 
-__all__ = ["VoxelMedium"]
+__all__ = ["VoxelGeometry", "VoxelMedium"]
+
+#: Fraction of a voxel edge used to nudge face-crossing photons into the
+#: next voxel (avoids floor() landing them back on the face).
+_NUDGE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -125,6 +134,7 @@ class VoxelMedium:
             "mu_s": np.asarray([m.mu_s for m in self.materials]),
             "mu_t": np.asarray([m.mu_t for m in self.materials]),
             "g": np.asarray([m.g for m in self.materials]),
+            "n": np.asarray([m.n for m in self.materials]),
         }
 
     def label_at(
@@ -154,3 +164,80 @@ class VoxelMedium:
         """Fraction of the box volume occupied by each material."""
         counts = np.bincount(self.labels.reshape(-1), minlength=self.n_materials)
         return counts / self.labels.size
+
+
+class VoxelGeometry:
+    """A voxel grid as a transport geometry: regions are materials.
+
+    Boundaries are voxel faces.  Interior faces are index-matched, so a
+    photon reaching one steps just past it and takes the next voxel's
+    material, keeping the unspent part of its dimensionless step (the
+    standard multi-region treatment).  The top and bottom faces apply
+    probabilistic Fresnel reflection against the ambient indices and
+    score what escapes.  Lateral faces outside the box bound the virtual
+    edge voxels of the lateral-extension convention.
+    """
+
+    def __init__(self, medium: VoxelMedium) -> None:
+        coeffs = medium.coefficient_vectors()
+        self.mu_a = coeffs["mu_a"]
+        self.mu_t = coeffs["mu_t"]
+        self.g = coeffs["g"]
+        self.n = coeffs["n"]
+        self.n_above = medium.n_above
+        self.n_below = medium.n_below
+        self.n_entry = medium.n_medium
+        self.medium = medium
+        self.depth = medium.depth
+        self.axes = tuple(zip(medium.lo, medium.voxel_size))
+        self.nudge = _NUDGE * min(medium.voxel_size)
+
+    def locate(self, pos: np.ndarray, surface_launch: np.ndarray) -> np.ndarray:
+        # Surface launches start just inside the box so the lookup works.
+        pos[surface_launch, 2] = self.nudge
+        z = pos[:, 2]
+        if np.any((z < 0.0) | (z >= self.depth)):
+            raise ValueError("source launches photons outside the voxel box")
+        return self.medium.label_at(pos[:, 0], pos[:, 1], z).astype(np.int64)
+
+    def distance(self, st) -> np.ndarray:
+        # Nearest voxel face along each axis, from the unclamped voxel
+        # index, so photons outside the box laterally traverse virtual
+        # edge voxels.
+        d_face = np.full(st.size, np.inf)
+        for p, u, (lo, h) in zip((st.x, st.y, st.z), (st.ux, st.uy, st.uz), self.axes):
+            moving = u != 0.0
+            pm, um = p[moving], u[moving]
+            plane = lo + (np.floor((pm - lo) / h) + (um > 0.0)) * h
+            d_face[moving] = np.minimum(d_face[moving], (plane - pm) / um)
+        return d_face
+
+    def cross(self, batch, bi: np.ndarray) -> None:
+        st = batch.st
+        nudge = self.nudge
+        z = st.z[bi]
+        uz = st.uz[bi]
+        top = (np.abs(z) <= 2 * nudge) & (uz < 0.0)
+        external = top | ((np.abs(z - self.depth) <= 2 * nudge) & (uz > 0.0))
+        if np.any(external):
+            ei = bi[external]
+            top = top[external]
+            n_out = np.where(top, self.n_above, self.n_below)
+            r_f = fresnel_reflectance(np.abs(uz[external]), self.n_entry, n_out)
+            reflect = batch.rng.random(ei.size) < r_f
+            ri = ei[reflect]
+            st.uz[ri] = -st.uz[ri]
+            # Nudge back inside so the region lookup below is interior.
+            st.z[ri] += np.where(top[reflect], nudge, -nudge)
+            escape = ~reflect
+            if np.any(escape):
+                oi = ei[escape]
+                batch.score_escapes(oi, top[escape], st.w[oi], terminal=True)
+                st.alive[oi] = False
+                st.w[oi] = 0.0
+        inner = bi[~external]
+        st.x[inner] += st.ux[inner] * nudge
+        st.y[inner] += st.uy[inner] * nudge
+        st.z[inner] += st.uz[inner] * nudge
+        moved = bi[st.alive[bi]]
+        st.layer[moved] = self.medium.label_at(st.x[moved], st.y[moved], st.z[moved])

@@ -1,7 +1,9 @@
 """Tests of the transport kernels (scalar reference and vectorised).
 
 Most cases are parametrised over both kernels: the physics contracts must
-hold identically.  Cross-kernel statistical equivalence has its own class.
+hold identically.  Budget, step-cap and capture contracts also run the
+vectorised kernel on a voxel grid.  Cross-kernel statistical equivalence
+has its own class.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from repro.core import (
 from repro.detect import DiscDetector, GridSpec, PathlengthGate
 from repro.sources import IsotropicPoint, PencilBeam
 from repro.tissue import Layer, LayerStack, OpticalProperties
+from repro.voxel import VoxelConfig, homogeneous_block, with_sphere
 
 KERNELS = {
     "scalar": run_batch_scalar,
@@ -35,6 +38,19 @@ def run(kernel, config, n, seed=0):
 @pytest.fixture(params=sorted(KERNELS))
 def kernel(request):
     return request.param
+
+
+@pytest.fixture(params=["scalar", "vector", "voxel"])
+def kernel_and_config(request, fast_props, fast_stack):
+    """A kernel and the fast medium it traces: the layer stack for both
+    kernels, and for ``voxel`` the vectorised kernel on a two-material grid."""
+    if request.param == "voxel":
+        block = homogeneous_block(fast_props, (8, 8, 8), half_extent=4.0, depth=4.0)
+        inclusion = OpticalProperties(mu_a=3.0, mu_s=5.0, g=0.5, n=1.4)
+        medium = with_sphere(block, (0.0, 0.0, 1.0), 1.0, inclusion)
+        return run_batch_vectorized, VoxelConfig(medium=medium, source=PencilBeam())
+    config = SimulationConfig(stack=fast_stack, source=PencilBeam())
+    return KERNELS[request.param], config
 
 
 class TestEnergyConservation:
@@ -160,12 +176,34 @@ class TestDetection:
         assert np.isfinite(tally.pathlength.mean)
 
 
+class TestPhotonBudget:
+    def test_zero_photons(self, kernel_and_config):
+        fn, config = kernel_and_config
+        assert fn(config, 0, task_rng(0, 0)).n_launched == 0
+
+    def test_negative_rejected(self, kernel_and_config):
+        fn, config = kernel_and_config
+        with pytest.raises(ValueError, match="n_photons"):
+            fn(config, -1, task_rng(0, 0))
+
+
 class TestMaxSteps:
-    def test_cap_books_lost_weight(self, kernel, fast_stack):
-        config = SimulationConfig(stack=fast_stack, source=PencilBeam(), max_steps=3)
-        tally = run(kernel, config, 300)
+    def test_cap_books_lost_weight(self, kernel_and_config):
+        fn, config = kernel_and_config
+        tally = fn(config.with_(max_steps=3), 300, task_rng(0, 0))
         assert tally.lost_weight > 0
         assert tally.energy_balance == pytest.approx(1.0, abs=1e-9)
+
+
+class TestCapturePaths:
+    def test_capture_changes_no_other_field(self, kernel_and_config):
+        fn, config = kernel_and_config
+        captured = fn(config, 300, task_rng(4, 0), capture_paths=True)
+        plain = fn(config, 300, task_rng(4, 0))
+        assert plain.paths is None
+        assert captured.paths.n_rows == captured.detected_count > 0
+        # Capture draws no randomness: every tally field is bit-identical.
+        assert captured == plain
 
 
 class TestRunawayGuard:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import (
     SimulationConfig,
+    Tally,
     fresnel_reflectance,
     run_batch_scalar,
     run_batch_vectorized,
@@ -15,6 +16,7 @@ from repro.core import (
 )
 from repro.sources import PencilBeam
 from repro.tissue import LayerStack, OpticalProperties
+from repro.voxel import VoxelConfig, homogeneous_block
 
 PROPS = OpticalProperties(mu_a=1.0, mu_s=10.0, g=0.8, n=1.4)
 
@@ -25,8 +27,19 @@ def config_with_tilt(tilt: float) -> SimulationConfig:
     )
 
 
+def voxel_grid(config: SimulationConfig, n: int, rng) -> Tally:
+    """The vectorised kernel on the same medium, voxelised."""
+    block = homogeneous_block(PROPS, (16, 16, 16), half_extent=8.0, depth=8.0)
+    voxels = VoxelConfig(medium=block, source=config.source)
+    return run_batch_vectorized(voxels, n, rng)
+
+
+#: Both kernels on the layer stack, and the vectorised one on a voxel grid.
+KERNELS = [run_batch_scalar, run_batch_vectorized, pytest.param(voxel_grid, id="voxel")]
+
+
 class TestNormalIncidence:
-    @pytest.mark.parametrize("kernel", [run_batch_scalar, run_batch_vectorized])
+    @pytest.mark.parametrize("kernel", KERNELS)
     def test_matches_classic_specular(self, kernel):
         tally = kernel(config_with_tilt(0.0), 200, task_rng(0, 0))
         expected = specular_reflectance(1.0, 1.4)
@@ -34,33 +47,22 @@ class TestNormalIncidence:
 
 
 class TestTiltedIncidence:
-    @pytest.mark.parametrize("kernel", [run_batch_scalar, run_batch_vectorized])
+    @pytest.mark.parametrize("kernel", KERNELS)
     def test_specular_grows_with_tilt(self, kernel):
         normal = kernel(config_with_tilt(0.0), 100, task_rng(1, 0))
         tilted = kernel(config_with_tilt(1.2), 100, task_rng(1, 0))
         assert tilted.specular_reflectance > normal.specular_reflectance
 
-    @pytest.mark.parametrize("kernel", [run_batch_scalar, run_batch_vectorized])
+    @pytest.mark.parametrize("kernel", KERNELS)
     def test_specular_equals_fresnel_at_angle(self, kernel):
         tilt = 0.8
         tally = kernel(config_with_tilt(tilt), 100, task_rng(2, 0))
         expected = float(fresnel_reflectance(np.cos(tilt), 1.0, 1.4))
         assert tally.specular_reflectance == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("kernel", [run_batch_scalar, run_batch_vectorized])
+    @pytest.mark.parametrize("kernel", KERNELS)
     def test_energy_conserved_with_tilt(self, kernel):
         tally = kernel(config_with_tilt(1.0), 300, task_rng(3, 0))
-        assert tally.energy_balance == pytest.approx(1.0, abs=1e-9)
-
-    def test_voxel_kernel_matches(self):
-        from repro.voxel import VoxelConfig, homogeneous_block, run_voxel_batch
-
-        tilt = 0.8
-        block = homogeneous_block(PROPS, (16, 16, 16), half_extent=8.0, depth=8.0)
-        config = VoxelConfig(medium=block, source=PencilBeam(tilt=tilt))
-        tally = run_voxel_batch(config, 100, task_rng(4, 0))
-        expected = float(fresnel_reflectance(np.cos(tilt), 1.0, 1.4))
-        assert tally.specular_reflectance == pytest.approx(expected, rel=1e-12)
         assert tally.energy_balance == pytest.approx(1.0, abs=1e-9)
 
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from typing import get_args
+
 import numpy as np
 import pytest
 
-from repro.core import Simulation, run_photons, split_photons, task_rng
+from repro.core import KernelName, Simulation, run_photons, split_photons, task_rng
 from repro.core.simulation import _KERNELS
 
 
@@ -35,7 +37,7 @@ class TestRunPhotons:
             run_photons(fast_config, 10, task_rng(0, 0), "warp")
 
     def test_kernel_registry_contains_both(self):
-        assert {"vector", "scalar"} <= set(_KERNELS)
+        assert set(_KERNELS) == {"vector", "scalar"} == set(get_args(KernelName))
 
     def test_dispatch_equivalence(self, fast_config):
         direct = run_photons(fast_config, 100, task_rng(1, 0), "vector")
@@ -82,7 +84,7 @@ class TestSimulationFacade:
 
 
 class TestKernelTelemetryForwarding:
-    """Telemetry reaches only kernels that declare the parameter."""
+    """Telemetry reaches the kernel."""
 
     def test_declaring_kernel_is_traced(self, fast_config):
         from repro.observe import Telemetry
@@ -90,19 +92,3 @@ class TestKernelTelemetryForwarding:
         tel = Telemetry.in_memory()
         run_photons(fast_config, 50, task_rng(0, 0), "vector", telemetry=tel)
         assert any(e["event"] == "span_start" for e in tel.sink.events)
-
-    def test_legacy_kernel_without_parameter_runs_untraced(self, fast_config):
-        from repro.observe import Telemetry
-
-        def legacy_kernel(config, n_photons, rng):
-            return run_photons(config, n_photons, rng, "vector")
-
-        _KERNELS["legacy-test"] = legacy_kernel
-        try:
-            tel = Telemetry.in_memory()
-            tally = run_photons(
-                fast_config, 50, task_rng(0, 0), "legacy-test", telemetry=tel
-            )
-            assert tally.n_launched == 50
-        finally:
-            del _KERNELS["legacy-test"]

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import RouletteConfig, task_rng
+from repro.core import RouletteConfig, run_batch_vectorized, task_rng
 from repro.sources import PencilBeam
 from repro.tissue import OpticalProperties
-from repro.voxel import VoxelConfig, VoxelMedium, run_voxel_batch
+from repro.voxel import VoxelConfig, VoxelMedium
 
 
 @st.composite
@@ -51,7 +51,7 @@ class TestVoxelInvariants:
             source=PencilBeam(),
             roulette=RouletteConfig(threshold=1e-2, boost=10),
         )
-        tally = run_voxel_batch(config, 150, task_rng(seed, 0))
+        tally = run_batch_vectorized(config, 150, task_rng(seed, 0))
         assert tally.energy_balance == pytest.approx(1.0, abs=1e-9)
         assert 0.0 <= tally.diffuse_reflectance <= 1.0
         assert 0.0 <= tally.transmittance <= 1.0

@@ -1,7 +1,7 @@
-"""Tests for the voxel transport kernel.
+"""Tests for voxel media traced by the vectorised kernel.
 
-The key validation is cross-kernel: a voxelised layer stack must reproduce
-the analytic layered kernel's physics within Monte Carlo statistics.
+The key validation is cross-geometry: a voxelised layer stack must
+reproduce the analytic layer stack's physics within Monte Carlo statistics.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import pytest
 from repro.core import (
     RecordConfig,
     RouletteConfig,
+    Simulation,
     SimulationConfig,
     run_batch_vectorized,
     task_rng,
@@ -24,7 +25,6 @@ from repro.voxel import (
     from_layers,
     homogeneous_block,
     run_voxel,
-    run_voxel_batch,
     with_sphere,
 )
 
@@ -190,8 +190,7 @@ class TestDistributedIntegration:
 
         block = homogeneous_block(FAST, (12, 12, 8), half_extent=6.0, depth=4.0)
         config = voxel_config(block)
-        manager = DataManager(config, n_photons=600, seed=3, task_size=200,
-                              kernel="voxel")
+        manager = DataManager(config, n_photons=600, seed=3, task_size=200)
         report = manager.run(SerialBackend())
         assert report.tally.n_launched == 600
         assert report.tally.energy_balance == pytest.approx(1.0, abs=1e-9)
@@ -199,25 +198,19 @@ class TestDistributedIntegration:
         direct = run_voxel(config, 600, seed=3, task_size=200)
         assert report.tally.summary() == direct.summary()
 
-
-class TestKernelEdgeCases:
-    def test_zero_photons(self):
-        block = homogeneous_block(FAST, (4, 4, 4), half_extent=2.0, depth=2.0)
-        tally = run_voxel_batch(voxel_config(block), 0, task_rng(0, 0))
-        assert tally.n_launched == 0
-
-    def test_negative_rejected(self):
-        block = homogeneous_block(FAST, (4, 4, 4), half_extent=2.0, depth=2.0)
-        with pytest.raises(ValueError, match="n_photons"):
-            run_voxel_batch(voxel_config(block), -1, task_rng(0, 0))
-
-    def test_max_steps_books_lost(self):
+    def test_simulation_facade_default_kernel(self):
         block = homogeneous_block(FAST, (8, 8, 8), half_extent=4.0, depth=4.0)
-        config = voxel_config(block, max_steps=5)
-        tally = run_voxel(config, 200, seed=1)
-        assert tally.lost_weight > 0
+        tally = Simulation(voxel_config(block)).run(50)
+        assert tally.n_launched == 50
         assert tally.energy_balance == pytest.approx(1.0, abs=1e-9)
 
+    def test_scalar_kernel_rejects_voxel_config(self):
+        block = homogeneous_block(FAST, (4, 4, 4), half_extent=2.0, depth=2.0)
+        with pytest.raises(ValueError, match="'scalar'.*VoxelConfig"):
+            Simulation(voxel_config(block)).run(5, kernel="scalar")
+
+
+class TestKernelEdgeCases:
     def test_transparent_voxels_traversed(self):
         """A transparent gap between two absorbing slabs is crossed cleanly."""
         clear = OpticalProperties(mu_a=0.0, mu_s=0.0, g=0.0, n=1.0)
