@@ -679,13 +679,12 @@ def _cmd_perturb(args) -> int:
     import json as _json
     from pathlib import Path
 
-    from .io import format_table, load_paths, load_tally, save_tally
+    from .io import format_table, load_tally, save_tally
     from .perturb import PerturbationDelta, PerturbationError, derive_tally
 
     try:
-        parent = load_tally(args.archive)
-        parent.paths = load_paths(args.archive)
-    except (OSError, ValueError, KeyError) as exc:
+        parent = load_tally(args.archive, paths=True)
+    except (OSError, ValueError) as exc:
         raise SystemExit(f"perturb sweep {args.archive}: {exc}") from None
     if parent.paths is None:
         raise SystemExit(

@@ -140,7 +140,7 @@ class CheckpointManager:
         """
         # Imported here, not at module top: repro.io.reports imports the
         # distributed package back, so a top-level import would be circular.
-        from ..io.results import load_paths, load_tally
+        from ..io.results import load_tally
 
         directory = Path(self.directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -169,12 +169,11 @@ class CheckpointManager:
                 if not path.exists():
                     continue
                 try:
-                    tally = load_tally(path)
                     # save_tally persists Tally.paths automatically when the
-                    # result carried records; reattach so a capture run's
-                    # resume keeps them (plain load_tally stays paths-blind).
-                    tally.paths = load_paths(path)
-                except Exception:  # noqa: BLE001 - torn write: redo the task
+                    # result carried records; restore them so a capture run's
+                    # resume keeps them.
+                    tally = load_tally(path, paths=True)
+                except (ValueError, OSError):  # torn write: redo the task
                     logger.warning("dropping unreadable checkpoint tally %s", path)
                     continue
                 span = entry.get("span")

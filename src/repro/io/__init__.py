@@ -5,7 +5,6 @@ from .reports import load_report, save_report
 from .results import (
     archive_summary,
     load_frontier,
-    load_paths,
     load_tally,
     save_tally,
 )
@@ -19,7 +18,6 @@ __all__ = [
     "encode_tally",
     "format_table",
     "load_frontier",
-    "load_paths",
     "load_report",
     "load_tally",
     "save_report",

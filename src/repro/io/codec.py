@@ -32,6 +32,7 @@ compression negotiated by :mod:`repro.distributed.net`.
 from __future__ import annotations
 
 import json
+import math
 import pickle
 import struct
 from dataclasses import dataclass
@@ -40,13 +41,7 @@ import numpy as np
 
 from ..core.config import RecordConfig
 from ..core.tally import Tally
-from ..detect.records import Histogram, PathRecords
-from .results import (
-    _grid_spec_from_dict,
-    _grid_spec_to_dict,
-    _stat_from_list,
-    _stat_to_list,
-)
+from .results import _MALFORMED, _pack_paths, _pack_tally, _unpack_paths, _unpack_tally
 
 __all__ = [
     "CODEC_VERSION",
@@ -65,6 +60,8 @@ _MAGIC = b"RTLY"
 #: manifest starts aligned.
 _PREAMBLE = struct.Struct("<4sHxxI4x")
 _ALIGN = 8
+#: Array dtype kinds a tally holds: bool, (unsigned) integer, float, complex.
+_NUMERIC_KINDS = "biufc"
 
 
 class CodecError(ValueError):
@@ -75,10 +72,6 @@ def _pad(n: int) -> int:
     return (-n) % _ALIGN
 
 
-#: (name, attribute) pairs of the optional histogram recordings.
-_HISTS = ("pathlength_hist", "reflectance_rho_hist", "penetration_hist")
-
-
 def encode_tally(tally: Tally) -> bytearray:
     """Serialise ``tally`` into one contiguous, self-describing buffer.
 
@@ -86,30 +79,18 @@ def encode_tally(tally: Tally) -> bytearray:
     the type, so a buffer that crosses a process pool still decodes into
     *writable* zero-copy views on the other side.
     """
-    arrays: list[tuple[str, np.ndarray]] = [
-        ("absorbed_by_layer", tally.absorbed_by_layer)
-    ]
-    if tally.absorption_grid is not None:
-        arrays.append(("absorption_grid", tally.absorption_grid))
-    if tally.path_grid is not None:
-        arrays.append(("path_grid", tally.path_grid))
-    for name in _HISTS:
-        hist = getattr(tally, name)
-        if hist is not None:
-            arrays.append((f"{name}_edges", hist.edges))
-            arrays.append((f"{name}_counts", hist.counts))
+    header, arrays = _pack_tally(tally)
     paths_meta = None
     if tally.paths is not None:
         # Records must be sealed before crossing a transport (the worker
         # seals under its task index right after the kernel returns).
-        for name, array in tally.paths.to_arrays().items():
-            arrays.append((f"paths_{name}", array))
-        paths_meta = {"n_layers": tally.paths.n_layers}
+        paths_meta, path_arrays = _pack_paths(tally.paths, "paths_")
+        arrays.update(path_arrays)
 
     table = []
     offset = 0  # relative to the start of the array section
     prepared: list[np.ndarray] = []
-    for name, array in arrays:
+    for name, array in arrays.items():
         data = np.ascontiguousarray(array)
         prepared.append(data)
         table.append(
@@ -122,37 +103,8 @@ def encode_tally(tally: Tally) -> bytearray:
         )
         offset += data.nbytes + _pad(data.nbytes)
 
-    r = tally.records
     manifest = json.dumps(
-        {
-            "n_layers": tally.n_layers,
-            "n_launched": tally.n_launched,
-            "specular_weight": tally.specular_weight,
-            "diffuse_reflectance_weight": tally.diffuse_reflectance_weight,
-            "transmittance_weight": tally.transmittance_weight,
-            "lost_weight": tally.lost_weight,
-            "roulette_net_weight": tally.roulette_net_weight,
-            "detected_count": tally.detected_count,
-            "detected_weight": tally.detected_weight,
-            "pathlength": _stat_to_list(tally.pathlength),
-            "penetration_depth": _stat_to_list(tally.penetration_depth),
-            "records": {
-                "absorption_grid": _grid_spec_to_dict(r.absorption_grid),
-                "path_grid": _grid_spec_to_dict(r.path_grid),
-                "pathlength_bins": (
-                    list(r.pathlength_bins) if r.pathlength_bins else None
-                ),
-                "reflectance_rho_bins": (
-                    list(r.reflectance_rho_bins) if r.reflectance_rho_bins else None
-                ),
-                "penetration_bins": (
-                    list(r.penetration_bins) if r.penetration_bins else None
-                ),
-            },
-            "paths": paths_meta,
-            "arrays": table,
-        },
-        separators=(",", ":"),
+        {**header, "paths": paths_meta, "arrays": table}, separators=(",", ":")
     ).encode("utf-8")
     manifest += b" " * _pad(len(manifest))
 
@@ -170,8 +122,8 @@ def decode_tally(buf: bytes | bytearray | memoryview) -> Tally:
     """Rebuild a :class:`Tally` whose arrays are zero-copy views into ``buf``.
 
     The views are writable iff ``buf`` is (``bytearray``: writable;
-    ``bytes``: read-only).  Raises :class:`CodecError` on a foreign,
-    truncated or future-versioned buffer.
+    ``bytes``: read-only).  Raises :class:`CodecError` — and nothing else —
+    on a foreign, truncated, malformed or future-versioned buffer.
     """
     view = memoryview(buf)
     if len(view) < _PREAMBLE.size:
@@ -188,76 +140,39 @@ def decode_tally(buf: bytes | bytearray | memoryview) -> Tally:
         raise CodecError("truncated tally buffer: manifest incomplete")
     try:
         manifest = json.loads(bytes(view[_PREAMBLE.size : base]).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CodecError(f"corrupt tally manifest: {exc}") from exc
-
-    views: dict[str, np.ndarray] = {}
-    for entry in manifest["arrays"]:
-        dtype = np.dtype(entry["dtype"])
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        start = base + entry["offset"]
-        if start + count * dtype.itemsize > len(view):
-            raise CodecError(
-                f"truncated tally buffer: array {entry['name']!r} out of bounds"
-            )
-        views[entry["name"]] = np.frombuffer(
-            buf, dtype=dtype, count=count, offset=start
-        ).reshape(shape)
-
-    rd = manifest["records"]
-    records = RecordConfig(
-        absorption_grid=_grid_spec_from_dict(rd["absorption_grid"]),
-        path_grid=_grid_spec_from_dict(rd["path_grid"]),
-        pathlength_bins=(
-            tuple(rd["pathlength_bins"]) if rd["pathlength_bins"] else None
-        ),
-        reflectance_rho_bins=(
-            tuple(rd["reflectance_rho_bins"]) if rd["reflectance_rho_bins"] else None
-        ),
-        penetration_bins=(
-            tuple(rd["penetration_bins"]) if rd["penetration_bins"] else None
-        ),
-    )
-    tally = Tally(
-        n_layers=manifest["n_layers"],
-        records=records,
-        n_launched=manifest["n_launched"],
-        specular_weight=manifest["specular_weight"],
-        diffuse_reflectance_weight=manifest["diffuse_reflectance_weight"],
-        transmittance_weight=manifest["transmittance_weight"],
-        lost_weight=manifest["lost_weight"],
-        roulette_net_weight=manifest["roulette_net_weight"],
-        detected_count=manifest["detected_count"],
-        detected_weight=manifest["detected_weight"],
-        absorbed_by_layer=views["absorbed_by_layer"],
-        pathlength=_stat_from_list(manifest["pathlength"]),
-        penetration_depth=_stat_from_list(manifest["penetration_depth"]),
-    )
-    if "absorption_grid" in views:
-        tally.absorption_grid = views["absorption_grid"]
-    if "path_grid" in views:
-        tally.path_grid = views["path_grid"]
-    for name in _HISTS:
-        if f"{name}_edges" in views:
-            setattr(
-                tally,
-                name,
-                Histogram(edges=views[f"{name}_edges"], counts=views[f"{name}_counts"]),
-            )
-    paths_meta = manifest.get("paths")
-    if paths_meta is not None:
-        tally.paths = PathRecords.from_arrays(
-            int(paths_meta["n_layers"]),
-            {
-                key: views[f"paths_{key}"]
-                for key in (
-                    "layer_paths", "weight", "opl", "max_depth",
-                    "detector", "keys", "lengths",
-                )
-            },
-        )
+        if not isinstance(manifest, dict):
+            raise CodecError("corrupt tally manifest: not a JSON object")
+        views = {
+            entry["name"]: _array_view(buf, base, len(view), entry)
+            for entry in manifest["arrays"]
+        }
+        tally = _unpack_tally(manifest, views)
+        if manifest.get("paths") is not None:
+            tally.paths = _unpack_paths(manifest["paths"], views, "paths_")
+    except CodecError:
+        raise
+    except _MALFORMED as exc:  # JSON and UTF-8 errors are ValueErrors too
+        raise CodecError(f"corrupt tally manifest: {exc!r}") from exc
     return tally
+
+
+def _array_view(buf, base: int, size: int, entry: dict) -> np.ndarray:
+    """One manifest array as a view into ``buf[base:size]``, or CodecError."""
+    dtype = np.dtype(entry["dtype"])
+    shape, offset = entry["shape"], entry["offset"]
+    if dtype.kind not in _NUMERIC_KINDS:
+        raise CodecError(f"array {entry['name']!r}: non-numeric dtype {dtype.str!r}")
+    if not all(type(n) is int and n >= 0 for n in [offset, *shape]):
+        raise CodecError(
+            f"array {entry['name']!r}: shape and offset must be non-negative integers"
+        )
+    count = math.prod(shape)
+    start = base + offset
+    if start + count * dtype.itemsize > size:
+        raise CodecError(
+            f"truncated tally buffer: array {entry['name']!r} out of bounds"
+        )
+    return np.frombuffer(buf, dtype=dtype, count=count, offset=start).reshape(shape)
 
 
 @dataclass

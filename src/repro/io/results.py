@@ -1,10 +1,15 @@
-"""Result persistence.
+"""Result persistence and the one tally schema.
 
 Tallies are saved as ``.npz`` archives (arrays + a JSON-encoded scalar
 header).  The format is explicitly versioned, self-describing and
 round-trips everything a :class:`~repro.core.tally.Tally` holds, so long
 simulations can be resumed by merging saved partial tallies — the on-disk
 analogue of what the paper's DataManager does with client results.
+
+The mapping from a tally to a JSON header plus named arrays is written
+once, here (:func:`_pack_tally` / :func:`_unpack_tally`), and shared with
+the wire codec (:mod:`repro.io.codec`), which lays the same header and
+arrays out in one buffer instead of a zip.
 
 Since format version 2 an archive can also carry the run's **reduction
 frontier** (:class:`~repro.core.reduce.TallyFrontier`): the canonical
@@ -13,15 +18,27 @@ frontier-bearing archive is *budget-extendable* — a later run with the
 same physics and a larger photon budget can prime the frontier back into
 its reducer and simulate only the missing tasks, producing a tally
 bit-identical to a from-scratch run (see ``repro.service.store``).
+
+Both optional sections — the frontier and the per-detected-photon path
+records — are opt-in on read: a plain :func:`load_tally` decompresses
+neither, ``load_tally(paths=True)`` attaches the records and
+:func:`load_frontier` restores the span partials.  Every read goes through
+one open-and-verify step, so malformed content raises ``ValueError`` and a
+file-system failure ``OSError``, nothing else.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import zipfile
+import zlib
+from contextlib import contextmanager
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.npyio import NpzFile
 
 from ..core.config import RecordConfig
 from ..core.reduce import TallyFrontier
@@ -32,120 +49,109 @@ __all__ = [
     "save_tally",
     "load_tally",
     "load_frontier",
-    "load_paths",
     "archive_summary",
 ]
 
 _FORMAT_VERSION = 2
 _READABLE_VERSIONS = (1, 2)
 
+#: Scalar tally fields, in header order (the order is part of both formats).
+_SCALARS = (
+    "n_layers",
+    "n_launched",
+    "specular_weight",
+    "diffuse_reflectance_weight",
+    "transmittance_weight",
+    "lost_weight",
+    "roulette_net_weight",
+    "detected_count",
+    "detected_weight",
+)
+_STATS = ("pathlength", "penetration_depth")
+#: Voxel grids: each name is both a ``RecordConfig`` spec and a tally array.
+_GRIDS = ("absorption_grid", "path_grid")
+_HISTS = ("pathlength_hist", "reflectance_rho_hist", "penetration_hist")
 
-def _grid_spec_to_dict(spec: GridSpec | None) -> dict | None:
-    if spec is None:
-        return None
-    return {"shape": list(spec.shape), "lo": list(spec.lo), "hi": list(spec.hi)}
+#: What a header or array set of the wrong shape raises while it is mapped
+#: back to a tally: missing keys, wrong JSON types, inconsistent arrays.
+_MALFORMED = (
+    AttributeError, KeyError, IndexError, TypeError, ValueError, OverflowError
+)
+#: ...and what a damaged zip or deflate stream raises besides ``OSError``
+#: (a member flagged as encrypted is a ``RuntimeError``).
+_DAMAGED = (
+    zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError, RuntimeError
+)
 
 
-def _grid_spec_from_dict(d: dict | None) -> GridSpec | None:
-    if d is None:
-        return None
-    return GridSpec(shape=tuple(d["shape"]), lo=tuple(d["lo"]), hi=tuple(d["hi"]))
+def _pack_tally(tally: Tally, prefix: str = "") -> tuple[dict, dict[str, np.ndarray]]:
+    """The one tally mapping: a JSON-ready header and ``prefix``-named arrays.
 
-
-def _stat_to_list(s: RunningStat) -> list[float]:
-    return [s.count, s.weight, s.weighted_sum, s.weighted_sumsq, s.minimum, s.maximum]
-
-
-def _stat_from_list(v: list[float]) -> RunningStat:
-    return RunningStat(*v)
-
-
-def _pack_tally(tally: Tally, arrays: dict, prefix: str = "") -> dict:
-    """Serialise one tally: scalars into the returned header dict, arrays
-    into ``arrays`` under ``prefix``-ed keys."""
-    r = tally.records
-    header = {
-        "n_layers": tally.n_layers,
-        "n_launched": tally.n_launched,
-        "specular_weight": tally.specular_weight,
-        "diffuse_reflectance_weight": tally.diffuse_reflectance_weight,
-        "transmittance_weight": tally.transmittance_weight,
-        "lost_weight": tally.lost_weight,
-        "roulette_net_weight": tally.roulette_net_weight,
-        "detected_count": tally.detected_count,
-        "detected_weight": tally.detected_weight,
-        "pathlength": _stat_to_list(tally.pathlength),
-        "penetration_depth": _stat_to_list(tally.penetration_depth),
-        "records": {
-            "absorption_grid": _grid_spec_to_dict(r.absorption_grid),
-            "path_grid": _grid_spec_to_dict(r.path_grid),
-            "pathlength_bins": list(r.pathlength_bins) if r.pathlength_bins else None,
-            "reflectance_rho_bins": (
-                list(r.reflectance_rho_bins) if r.reflectance_rho_bins else None
-            ),
-            "penetration_bins": list(r.penetration_bins) if r.penetration_bins else None,
-        },
-    }
-    arrays[f"{prefix}absorbed_by_layer"] = tally.absorbed_by_layer
-    if tally.absorption_grid is not None:
-        arrays[f"{prefix}absorption_grid"] = tally.absorption_grid
-    if tally.path_grid is not None:
-        arrays[f"{prefix}path_grid"] = tally.path_grid
-    for name, hist in (
-        ("pathlength_hist", tally.pathlength_hist),
-        ("reflectance_rho_hist", tally.reflectance_rho_hist),
-        ("penetration_hist", tally.penetration_hist),
-    ):
+    Path records are not part of it (see :func:`_pack_paths`): each format
+    places them in its own header slot.
+    """
+    header = {name: getattr(tally, name) for name in _SCALARS}
+    header.update({name: astuple(getattr(tally, name)) for name in _STATS})
+    header["records"] = asdict(tally.records)
+    arrays = {f"{prefix}absorbed_by_layer": tally.absorbed_by_layer}
+    for name in _GRIDS:
+        if getattr(tally, name) is not None:
+            arrays[prefix + name] = getattr(tally, name)
+    for name in _HISTS:
+        hist = getattr(tally, name)
         if hist is not None:
             arrays[f"{prefix}{name}_edges"] = hist.edges
             arrays[f"{prefix}{name}_counts"] = hist.counts
-    return header
+    return header, arrays
 
 
-def _unpack_tally(header: dict, data, prefix: str = "") -> Tally:
-    """Rebuild one tally from a header dict + the ``prefix``-ed arrays."""
+def _unpack_tally(header: dict, arrays, prefix: str = "") -> Tally:
+    """Invert :func:`_pack_tally` from a header and any mapping of arrays.
+
+    Raises one of :data:`_MALFORMED` on a header or array set that does not
+    describe a tally; each caller maps those to its own error type.
+    """
     rd = header["records"]
     records = RecordConfig(
-        absorption_grid=_grid_spec_from_dict(rd["absorption_grid"]),
-        path_grid=_grid_spec_from_dict(rd["path_grid"]),
-        pathlength_bins=tuple(rd["pathlength_bins"]) if rd["pathlength_bins"] else None,
-        reflectance_rho_bins=(
-            tuple(rd["reflectance_rho_bins"]) if rd["reflectance_rho_bins"] else None
-        ),
-        penetration_bins=(
-            tuple(rd["penetration_bins"]) if rd["penetration_bins"] else None
-        ),
+        **{
+            name: GridSpec(**{k: tuple(v) for k, v in rd[name].items()})
+            if rd[name] else None
+            for name in _GRIDS
+        },
+        **{
+            name: tuple(rd[name]) if rd[name] else None
+            for name in ("pathlength_bins", "reflectance_rho_bins", "penetration_bins")
+        },
     )
-    tally = Tally(
-        n_layers=header["n_layers"],
+    return Tally(
         records=records,
-        n_launched=header["n_launched"],
-        specular_weight=header["specular_weight"],
-        diffuse_reflectance_weight=header["diffuse_reflectance_weight"],
-        transmittance_weight=header["transmittance_weight"],
-        lost_weight=header["lost_weight"],
-        roulette_net_weight=header["roulette_net_weight"],
-        detected_count=header["detected_count"],
-        detected_weight=header["detected_weight"],
-        absorbed_by_layer=data[f"{prefix}absorbed_by_layer"],
-        pathlength=_stat_from_list(header["pathlength"]),
-        penetration_depth=_stat_from_list(header["penetration_depth"]),
-    )
-    if f"{prefix}absorption_grid" in data:
-        tally.absorption_grid = data[f"{prefix}absorption_grid"]
-    if f"{prefix}path_grid" in data:
-        tally.path_grid = data[f"{prefix}path_grid"]
-    for name in ("pathlength_hist", "reflectance_rho_hist", "penetration_hist"):
-        if f"{prefix}{name}_edges" in data:
-            setattr(
-                tally,
-                name,
-                Histogram(
-                    edges=data[f"{prefix}{name}_edges"],
-                    counts=data[f"{prefix}{name}_counts"],
-                ),
+        **{name: header[name] for name in _SCALARS},
+        **{name: RunningStat(*header[name]) for name in _STATS},
+        absorbed_by_layer=arrays[f"{prefix}absorbed_by_layer"],
+        **{name: arrays[prefix + name] for name in _GRIDS if prefix + name in arrays},
+        **{
+            name: Histogram(
+                edges=arrays[f"{prefix}{name}_edges"],
+                counts=arrays[f"{prefix}{name}_counts"],
             )
-    return tally
+            for name in _HISTS
+            if f"{prefix}{name}_edges" in arrays
+        },
+    )
+
+
+def _pack_paths(paths: PathRecords, prefix: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """Sealed path records as a header entry and ``prefix``-named arrays."""
+    arrays = {prefix + name: array for name, array in paths.to_arrays().items()}
+    return {"n_layers": paths.n_layers}, arrays
+
+
+def _unpack_paths(meta: dict, arrays, prefix: str) -> PathRecords:
+    """Invert :func:`_pack_paths`; touches only the ``prefix``-named arrays."""
+    return PathRecords.from_arrays(
+        int(meta["n_layers"]),
+        {name[len(prefix):]: arrays[name] for name in arrays if name.startswith(prefix)},
+    )
 
 
 def save_tally(
@@ -165,14 +171,13 @@ def save_tally(
 
     ``frontier`` optionally stores the run's reducer span partials next to
     the final tally, making the archive budget-extendable (restored by
-    :func:`load_frontier`; invisible to :func:`load_tally`).
+    :func:`load_frontier`; a plain :func:`load_tally` never reads them).
 
     When the tally carries per-detected-photon path records
     (``tally.paths``, from a ``capture_paths`` run) they are persisted
     automatically under ``p_``-prefixed arrays — the raw material for
-    :mod:`repro.perturb` derivation.  Like the frontier they are restored
-    by a dedicated reader (:func:`load_paths`) and invisible to plain
-    :func:`load_tally`.
+    :mod:`repro.perturb` derivation — and restored by
+    ``load_tally(path, paths=True)``.
 
     The write is atomic (temp file + ``os.replace``): readers — including a
     resuming :class:`~repro.distributed.checkpoint.CheckpointManager` —
@@ -180,22 +185,18 @@ def save_tally(
     mid-save.
     """
     path = Path(path)
-    arrays: dict[str, np.ndarray] = {}
-    header = _pack_tally(tally, arrays)
+    header, arrays = _pack_tally(tally)
     header["format_version"] = _FORMAT_VERSION
     header["provenance"] = provenance
     if frontier is not None and len(frontier):
-        span_headers = []
+        header["frontier"] = []
         for i, (start, stop, partial) in enumerate(frontier):
-            sub = _pack_tally(partial, arrays, prefix=f"f{i}_")
-            sub["start"] = int(start)
-            sub["stop"] = int(stop)
-            span_headers.append(sub)
-        header["frontier"] = span_headers
+            sub, sub_arrays = _pack_tally(partial, prefix=f"f{i}_")
+            header["frontier"].append({**sub, "start": int(start), "stop": int(stop)})
+            arrays.update(sub_arrays)
     if tally.paths is not None:
-        for name, array in tally.paths.to_arrays().items():
-            arrays[f"p_{name}"] = array
-        header["paths"] = {"n_layers": tally.paths.n_layers}
+        header["paths"], path_arrays = _pack_paths(tally.paths, "p_")
+        arrays.update(path_arrays)
     arrays = {
         "header": np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8),
         **arrays,
@@ -210,31 +211,61 @@ def save_tally(
     return path
 
 
-def _read_header(data, path: Path) -> dict:
-    header = json.loads(bytes(data["header"]).decode("utf-8"))
-    if header.get("format_version") not in _READABLE_VERSIONS:
-        raise ValueError(
-            f"unsupported tally format version {header.get('format_version')!r}"
-        )
-    return header
+@contextmanager
+def _open_archive(path: Path, expected_fingerprint: str | None = None):
+    """The one archive read: yield ``(header, members)`` of a verified archive.
+
+    The header must be a JSON object of a readable format version whose
+    provenance, if any, is an object — and, when ``expected_fingerprint``
+    is given, carries that fingerprint.  Members decompress lazily, on
+    first access.  Malformed content raises ``ValueError`` whether it
+    fails here or in the caller's block; the file system's own failures
+    stay ``OSError``.
+    """
+    try:
+        data = np.load(path)
+        if not isinstance(data, NpzFile):
+            raise ValueError(f"{path} is not a tally archive")
+        with data:
+            header = json.loads(data["header"].tobytes().decode("utf-8"))
+            if not isinstance(header, dict):
+                raise ValueError(f"tally archive {path}: header is not a JSON object")
+            if header.get("format_version") not in _READABLE_VERSIONS:
+                raise ValueError(
+                    f"unsupported tally format version {header.get('format_version')!r}"
+                )
+            provenance = header.get("provenance")
+            if not isinstance(provenance, (dict, type(None))):
+                raise ValueError(f"tally archive {path}: provenance is not a JSON object")
+            found = (provenance or {}).get("fingerprint")
+            if expected_fingerprint is not None and found != expected_fingerprint:
+                raise ValueError(
+                    f"tally at {path} belongs to a different request: "
+                    f"provenance fingerprint {found!r} != expected "
+                    f"{expected_fingerprint!r}"
+                )
+            yield header, data
+    except ValueError:
+        raise
+    except _MALFORMED + _DAMAGED as exc:
+        raise ValueError(f"malformed tally archive {path}: {exc!r}") from exc
 
 
-def _check_fingerprint(header: dict, path: Path, expected: str | None) -> None:
-    if expected is None:
-        return
-    found = (header.get("provenance") or {}).get("fingerprint")
-    if found != expected:
-        raise ValueError(
-            f"tally at {path} belongs to a different request: "
-            f"provenance fingerprint {found!r} != expected {expected!r}"
-        )
-
-
-def load_tally(path: str | Path, *, expected_fingerprint: str | None = None) -> Tally:
+def load_tally(
+    path: str | Path,
+    *,
+    expected_fingerprint: str | None = None,
+    paths: bool = False,
+) -> Tally:
     """Load a tally written by :func:`save_tally`.
 
     If the archive carries run provenance it is attached to the returned
     tally as a ``provenance`` dict attribute (``None`` otherwise).
+
+    ``paths=True`` also restores the per-detected-photon path records onto
+    ``tally.paths`` (``None`` when the archive carries none).  They are
+    opt-in because they can outweigh the tally many times over: a plain
+    load decompresses no record (and no frontier) member.
 
     ``expected_fingerprint`` makes the load *self-verifying*: the archive
     must carry that request fingerprint in its provenance (see
@@ -242,12 +273,11 @@ def load_tally(path: str | Path, *, expected_fingerprint: str | None = None) -> 
     raised.  The content-addressed result store uses this to detect stale
     or foreign artifacts instead of serving them as answers.
     """
-    path = Path(path)
-    with np.load(path) as data:
-        header = _read_header(data, path)
-        _check_fingerprint(header, path, expected_fingerprint)
+    with _open_archive(Path(path), expected_fingerprint) as (header, data):
         tally = _unpack_tally(header, data)
         tally.provenance = header.get("provenance")
+        if paths and header.get("paths") is not None:
+            tally.paths = _unpack_paths(header["paths"], data, "p_")
     return tally
 
 
@@ -265,16 +295,15 @@ def archive_summary(path: str | Path) -> dict:
     ``sections`` names the optional payloads the archive carries beyond the
     plain tally: ``"frontier"`` (budget-extension span partials, see
     :func:`load_frontier`) and ``"paths"`` (per-detected-photon path
-    records, see :func:`load_paths`).  Used by the result store to rebuild
-    its index from artifacts on disk without deserialising any arrays.
+    records, see ``load_tally(paths=True)``).  Used by the result store to
+    rebuild its index from artifacts on disk without deserialising any
+    arrays.
     """
-    path = Path(path)
-    with np.load(path) as data:
-        header = _read_header(data, path)
-    spans = [
-        (int(sub["start"]), int(sub["stop"]))
-        for sub in header.get("frontier") or []
-    ]
+    with _open_archive(Path(path)) as (header, _):
+        spans = [
+            (int(sub["start"]), int(sub["stop"]))
+            for sub in header.get("frontier") or []
+        ]
     sections = []
     if spans:
         sections.append("frontier")
@@ -287,33 +316,6 @@ def archive_summary(path: str | Path) -> dict:
     }
 
 
-def load_paths(
-    path: str | Path, *, expected_fingerprint: str | None = None
-) -> PathRecords | None:
-    """Load the per-detected-photon path records stored in an archive, if any.
-
-    Returns ``None`` when the archive carries no records (saves of runs
-    without ``capture_paths``, or archives predating path capture).  Like
-    :func:`load_tally`, ``expected_fingerprint`` makes the read
-    self-verifying against the provenance fingerprint.
-    """
-    path = Path(path)
-    with np.load(path) as data:
-        header = _read_header(data, path)
-        _check_fingerprint(header, path, expected_fingerprint)
-        meta = header.get("paths")
-        if meta is None:
-            return None
-        arrays = {
-            key: data[f"p_{key}"]
-            for key in (
-                "layer_paths", "weight", "opl", "max_depth",
-                "detector", "keys", "lengths",
-            )
-        }
-    return PathRecords.from_arrays(int(meta["n_layers"]), arrays)
-
-
 def load_frontier(
     path: str | Path, *, expected_fingerprint: str | None = None
 ) -> TallyFrontier | None:
@@ -324,15 +326,9 @@ def load_frontier(
     :func:`load_tally`, ``expected_fingerprint`` makes the read
     self-verifying against the provenance fingerprint.
     """
-    path = Path(path)
-    with np.load(path) as data:
-        header = _read_header(data, path)
-        _check_fingerprint(header, path, expected_fingerprint)
-        span_headers = header.get("frontier")
-        if not span_headers:
-            return None
-        spans = []
-        for i, sub in enumerate(span_headers):
-            partial = _unpack_tally(sub, data, prefix=f"f{i}_")
-            spans.append((int(sub["start"]), int(sub["stop"]), partial))
-    return TallyFrontier(spans)
+    with _open_archive(Path(path), expected_fingerprint) as (header, data):
+        spans = [
+            (int(sub["start"]), int(sub["stop"]), _unpack_tally(sub, data, f"f{i}_"))
+            for i, sub in enumerate(header.get("frontier") or [])
+        ]
+        return TallyFrontier(spans) if spans else None

@@ -35,10 +35,9 @@ def derive_from_archive(
     Raises :class:`PerturbationError` when the archive carries no path
     records — derivation never silently falls back to simulation.
     """
-    from ..io.results import load_paths, load_tally
+    from ..io.results import load_tally
 
-    parent = load_tally(path, expected_fingerprint=expected_fingerprint)
-    parent.paths = load_paths(path, expected_fingerprint=expected_fingerprint)
+    parent = load_tally(path, expected_fingerprint=expected_fingerprint, paths=True)
     if parent.paths is None:
         raise PerturbationError(
             f"archive {path} carries no path records; the parent run must "

@@ -829,10 +829,9 @@ class JobManager:
             )
         except (KeyError, TypeError, ValueError):
             return None  # degenerate/foreign coefficients: run cold
-        parent = self.store.get(parent_fp)
+        parent = self.store.get(parent_fp, paths=True)
         if parent is None:
             return None
-        parent.paths = self.store.get_paths(parent_fp)
         try:
             tally = derive_tally(parent, delta, mu_s=parent_coeffs.get("mu_s"))
         except PerturbationError:

@@ -12,11 +12,12 @@ Properties
   ``os.replace``) and the index are written atomically; a reader or a
   concurrent server process never observes a torn artifact.
 * **Self-verifying reads.**  Every stored tally embeds its fingerprint in
-  the archive provenance; :meth:`ResultStore.get` re-checks it on load
-  (see ``load_tally(expected_fingerprint=...)``).  A stale or foreign
-  artifact — hand-copied into the store, or produced under different
-  canonicalization rules — is evicted and reported as a miss instead of
-  being served as a wrong answer.
+  the archive provenance; :meth:`ResultStore.get` and :meth:`get_frontier`
+  re-check it on load (see ``load_tally(expected_fingerprint=...)``)
+  through the one read they share with :meth:`read_bytes`.  A stale,
+  foreign or unreadable artifact — hand-copied into the store, produced under
+  different canonicalization rules, or truncated on disk — is evicted and
+  reported as a miss instead of being served as a wrong answer.
 * **Bounded size.**  ``max_bytes`` caps the total archive footprint with
   least-recently-used eviction (access order, not insertion order).
 * **Prefix addressing.**  Entries carry their **physics fingerprint**
@@ -36,7 +37,8 @@ Properties
   and whether the archive holds per-photon path records.
   :meth:`best_derivation` answers "which cached sibling can a
   perturbation-MC reweighting (:mod:`repro.perturb`) derive this request
-  from" queries; :meth:`get_paths` restores the records.
+  from" queries; ``get(fingerprint, paths=True)`` restores the parent
+  with its records in one read.
 * **Observability.**  Hits, misses, evictions, supersessions, foreign
   rejections and the current byte footprint flow into a
   :class:`~repro.observe.Telemetry` when one is attached.
@@ -50,20 +52,16 @@ import os
 import threading
 import time
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from ..core.reduce import TallyFrontier
 from ..core.tally import Tally
-from ..detect.records import PathRecords
-from ..io.results import (
-    archive_summary,
-    load_frontier,
-    load_paths,
-    load_tally,
-    save_tally,
-)
+from ..io.results import archive_summary, load_frontier, load_tally, save_tally
 from ..observe import Telemetry
 
 __all__ = ["ResultStore"]
+
+_T = TypeVar("_T")
 
 logger = logging.getLogger(__name__)
 
@@ -167,7 +165,7 @@ class ResultStore:
             # foreign.
             try:
                 summary = archive_summary(path)
-            except (ValueError, OSError, KeyError, json.JSONDecodeError):
+            except (ValueError, OSError):
                 summary = None
             if summary is not None:
                 prov = summary["provenance"] or {}
@@ -236,49 +234,32 @@ class ResultStore:
             return sum(e["bytes"] for e in self._index.values())
 
     # ------------------------------------------------------------ operations
-    def get(self, fingerprint: str) -> Tally | None:
+    def get(self, fingerprint: str, *, paths: bool = False) -> Tally | None:
         """The stored tally, or ``None`` on miss.
 
-        A present-but-foreign artifact (provenance fingerprint absent or
-        different) is deleted and counted as ``service.store.foreign`` — the
-        store never serves a result it cannot prove belongs to the request.
+        ``paths=True`` also restores the entry's path records onto
+        ``tally.paths`` (``None`` when it holds none) — what a derivation
+        parent needs; exact hits leave them on disk.
+
+        A present-but-foreign or unreadable artifact (provenance
+        fingerprint absent or different, damaged archive) is deleted and
+        counted as ``service.store.foreign`` — the store never serves a
+        result it cannot prove belongs to the request.
         """
-        with self._lock:
-            entry = self._index.get(fingerprint)
-            if entry is None or not self.path(fingerprint).exists():
-                self._count("service.store.misses")
-                return None
-            try:
-                tally = load_tally(
-                    self.path(fingerprint), expected_fingerprint=fingerprint
-                )
-            except (ValueError, OSError, KeyError):
-                self._evict(fingerprint)
-                self._save_index()
-                self._count("service.store.foreign")
-                self._count("service.store.misses")
-                return None
-            entry["last_access"] = time.time()
-            self._save_index()
-            self._count("service.store.hits")
-            return tally
+        tally = self._read(
+            fingerprint,
+            lambda path: load_tally(
+                path, expected_fingerprint=fingerprint, paths=paths
+            ),
+        )
+        hit = tally is not None
+        self._count("service.store.hits" if hit else "service.store.misses")
+        return tally
 
     def read_bytes(self, fingerprint: str) -> bytes | None:
         """The raw ``.npz`` archive bytes (for HTTP serving), or ``None``."""
-        path = self.path(fingerprint)  # validates before touching the index
-        with self._lock:
-            entry = self._index.get(fingerprint)
-            if entry is None:
-                return None
-            try:
-                data = path.read_bytes()
-            except OSError:
-                self._evict(fingerprint)
-                self._save_index()
-                return None
-            entry["last_access"] = time.time()
-            self._save_index()
-            return data
+        self.path(fingerprint)  # validates before touching the index
+        return self._read(fingerprint, Path.read_bytes)
 
     def put(
         self,
@@ -428,55 +409,40 @@ class ResultStore:
                     best_rank = rank
             return best
 
-    def get_paths(self, fingerprint: str) -> PathRecords | None:
-        """The stored path records for an entry, or ``None``.
-
-        Self-verifying like :meth:`get`: a foreign or unreadable artifact
-        is evicted and reported as a miss, never served as a parent.
-        """
-        with self._lock:
-            entry = self._index.get(fingerprint)
-            if entry is None or not self.path(fingerprint).exists():
-                return None
-            try:
-                paths = load_paths(
-                    self.path(fingerprint), expected_fingerprint=fingerprint
-                )
-            except (ValueError, OSError, KeyError):
-                self._evict(fingerprint)
-                self._save_index()
-                self._count("service.store.foreign")
-                return None
-            if paths is None:
-                return None
-            entry["last_access"] = time.time()
-            self._save_index()
-            return paths
-
     def get_frontier(self, fingerprint: str) -> TallyFrontier | None:
         """The stored reduction frontier for an entry, or ``None``.
 
         Self-verifying like :meth:`get`: a foreign or unreadable artifact
         is evicted and reported as a miss, never served as a base.
         """
+        return self._read(
+            fingerprint,
+            lambda path: load_frontier(path, expected_fingerprint=fingerprint),
+        )
+
+    def _read(self, fingerprint: str, load: Callable[[Path], _T]) -> _T | None:
+        """The one self-verifying read behind every accessor.
+
+        Looks the entry up and loads its artifact with ``load``.  A load
+        that fails is a foreign or damaged artifact: it is evicted and
+        counted as ``service.store.foreign``.  A load that finds something
+        touches the entry's ``last_access`` for LRU order.
+        """
         with self._lock:
             entry = self._index.get(fingerprint)
             if entry is None or not self.path(fingerprint).exists():
                 return None
             try:
-                frontier = load_frontier(
-                    self.path(fingerprint), expected_fingerprint=fingerprint
-                )
-            except (ValueError, OSError, KeyError):
+                value = load(self.path(fingerprint))
+            except (ValueError, OSError):
                 self._evict(fingerprint)
                 self._save_index()
                 self._count("service.store.foreign")
                 return None
-            if frontier is None:
-                return None
-            entry["last_access"] = time.time()
-            self._save_index()
-            return frontier
+            if value is not None:
+                entry["last_access"] = time.time()
+                self._save_index()
+            return value
 
     def clear(self) -> None:
         with self._lock:

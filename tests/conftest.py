@@ -11,10 +11,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core import RouletteConfig, SimulationConfig
 from repro.sources import PencilBeam
 from repro.tissue import Layer, LayerStack, OpticalProperties
+
+#: ``--hypothesis-profile=fuzz``: the decoder fuzz tests at twenty times
+#: Hypothesis' default budget (CI's "Decoder fuzz" step).
+settings.register_profile("fuzz", max_examples=2000, deadline=None)
 
 
 @pytest.fixture

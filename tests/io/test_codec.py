@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import numpy as np
@@ -141,6 +142,73 @@ class TestRejection:
         buf[start : start + 2] = b"\xff\xfe"
         with pytest.raises(CodecError):
             decode_tally(buf)
+
+
+def _remanifest(buf: bytearray, edit) -> bytearray:
+    """``buf`` with its manifest replaced by ``edit(manifest)``; the array
+    section is kept as is (its offsets are relative to the manifest end)."""
+    base = _PREAMBLE.size + _PREAMBLE.unpack_from(buf, 0)[2]
+    manifest = edit(json.loads(bytes(buf[_PREAMBLE.size : base])))
+    raw = json.dumps(manifest).encode()
+    out = bytearray(_PREAMBLE.size) + raw + buf[base:]
+    _PREAMBLE.pack_into(out, 0, b"RTLY", CODEC_VERSION, len(raw))
+    return out
+
+
+def _edit_array(name, **fields):
+    def edit(manifest):
+        for entry in manifest["arrays"]:
+            if entry["name"] == name:
+                entry.update(fields)
+        return manifest
+
+    return edit
+
+
+def _drop(key):
+    def edit(manifest):
+        del manifest[key]
+        return manifest
+
+    return edit
+
+
+def _drop_array_key(key):
+    def edit(manifest):
+        del manifest["arrays"][0][key]
+        return manifest
+
+    return edit
+
+
+#: Manifests behind a valid preamble that must be refused, not decoded.
+MALFORMED_MANIFESTS = {
+    "empty_object": lambda m: {},
+    "not_an_object": lambda m: [],
+    "missing_records": _drop("records"),
+    "missing_array_offset": _drop_array_key("offset"),
+    "object_dtype": _edit_array("absorbed_by_layer", dtype="|O"),
+    "negative_offset": _edit_array("absorbed_by_layer", offset=-16),
+    "fractional_offset": _edit_array("absorbed_by_layer", offset=1.5),
+    "negative_shape": _edit_array("absorbed_by_layer", shape=[-1]),
+    "fractional_shape": _edit_array("absorbed_by_layer", shape=[1.5]),
+    "array_past_the_end": _edit_array("absorbed_by_layer", offset=1 << 20),
+}
+
+
+class TestMalformedManifest:
+    """Every malformed manifest raises CodecError — never another error,
+    and never a tally built from bytes outside the array section."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+    def test_rejected(self, fast_stack, case):
+        buf = encode_tally(tally_for(fast_stack, RECORD_SHAPES["everything"]))
+        with pytest.raises(CodecError):
+            decode_tally(_remanifest(buf, MALFORMED_MANIFESTS[case]))
+
+    def test_unedited_manifest_still_decodes(self, fast_stack):
+        tally = tally_for(fast_stack, RECORD_SHAPES["everything"])
+        assert decode_tally(_remanifest(encode_tally(tally), lambda m: m)) == tally
 
 
 class TestBaseline:

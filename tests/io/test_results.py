@@ -224,7 +224,7 @@ class TestArchiveSummary:
 
 
 class TestPathPersistence:
-    """Path records ride along in the archive, invisibly to load_tally."""
+    """Path records ride along in the archive, restored only on request."""
 
     def _captured(self, fast_config):
         from repro.core import run_photons, task_rng
@@ -234,30 +234,46 @@ class TestPathPersistence:
         return tally
 
     def test_round_trip(self, tmp_path, fast_config):
-        from repro.io import load_paths
-
         tally = self._captured(fast_config)
         path = save_tally(tmp_path / "t.npz", tally)
-        back = load_paths(path)
-        assert back == tally.paths
-        assert back.segment_keys == (0,)
-        # The records stay invisible to a plain tally load: same archive,
-        # same tally, no paths attached.
+        back = load_tally(path, paths=True)
+        assert back == tally
+        assert back.paths == tally.paths
+        assert back.paths.segment_keys == (0,)
+        # The records stay out of a plain tally load: same archive, same
+        # tally, no paths attached.
         assert load_tally(path).paths is None
 
-    def test_absent_records_load_as_none(self, tmp_path, fast_config):
-        from repro.io import load_paths
+    def test_plain_load_decompresses_no_optional_member(
+        self, tmp_path, hand_built, monkeypatch
+    ):
+        from numpy.lib.npyio import NpzFile
 
+        tally, frontier = hand_built
+        path = save_tally(tmp_path / "t.npz", tally, frontier=frontier)
+        read = []
+        original = NpzFile.__getitem__
+
+        def recording(self, key):
+            read.append(key)
+            return original(self, key)
+
+        monkeypatch.setattr(NpzFile, "__getitem__", recording)
+        load_tally(path)
+        assert "absorbed_by_layer" in read
+        assert not [key for key in read if key.startswith(("p_", "f0_", "f1_"))]
+
+    def test_absent_records_load_as_none(self, tmp_path, fast_config):
         tally = Simulation(fast_config).run(50, seed=0)
-        assert load_paths(save_tally(tmp_path / "t.npz", tally)) is None
+        path = save_tally(tmp_path / "t.npz", tally)
+        assert load_tally(path, paths=True).paths is None
 
     def test_fingerprint_self_verification(self, tmp_path, fast_config):
-        from repro.io import load_paths
-
         tally = self._captured(fast_config)
         path = save_tally(
             tmp_path / "t.npz", tally, provenance={"fingerprint": "ab12" * 16}
         )
-        assert load_paths(path, expected_fingerprint="ab12" * 16) is not None
+        loaded = load_tally(path, expected_fingerprint="ab12" * 16, paths=True)
+        assert loaded.paths is not None
         with pytest.raises(ValueError, match="different request"):
-            load_paths(path, expected_fingerprint="cd34" * 16)
+            load_tally(path, expected_fingerprint="cd34" * 16, paths=True)

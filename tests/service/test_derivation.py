@@ -63,8 +63,7 @@ class TestDerivedServing:
 
         # Bit-identical to deriving by hand from the stored parent (the
         # delta is built exactly the way the service builds it).
-        stored = store.get(parent.fingerprint)
-        stored.paths = store.get_paths(parent.fingerprint)
+        stored = store.get(parent.fingerprint, paths=True)
         delta = PerturbationDelta.between(
             perturbable_coefficients(_request()),
             perturbable_coefficients(_request(mu_a=1.05)),
@@ -227,7 +226,7 @@ class TestDerivationStore:
         rebuilt = ResultStore(store.root)
         hit = rebuilt.best_derivation(basis, 400)
         assert hit == (fp, perturbable_coefficients(request), False)
-        assert rebuilt.get_paths(fp) == store.get_paths(fp)
+        assert rebuilt.get(fp, paths=True).paths == store.get(fp, paths=True).paths
 
     def test_prefix_extended_entry_is_not_flagged_derived(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -253,4 +252,4 @@ class TestDerivationStore:
         assert store.best_derivation(basis, 400) is not None
         store.clear()
         assert store.best_derivation(basis, 400) is None
-        assert store.get_paths(fp) is None
+        assert store.get(fp, paths=True) is None

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import time
 
+import numpy as np
 import pytest
 
 from repro.core import Simulation
@@ -91,6 +92,58 @@ class TestVerification:
         path = store.put(fingerprint, tally)
         save_tally(path, tally)  # no provenance at all
         assert store.get(fingerprint) is None
+
+
+class TestUnreadableArtifact:
+    """A damaged archive is evicted as a miss; it never breaks the store."""
+
+    def _rewrite_header(self, path, **changes):
+        with np.load(path) as data:
+            members = {name: data[name] for name in data.files}
+        header = json.loads(members["header"].tobytes())
+        header.update(changes)
+        members["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+        with open(path, "wb") as fh:
+            np.savez(fh, **members)
+
+    def test_truncated_archive_is_evicted_as_a_miss(
+        self, tmp_path, tally, fingerprint
+    ):
+        store = ResultStore(tmp_path / "store", telemetry=Telemetry())
+        path = store.put(fingerprint, tally)
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) // 2])
+        assert store.get(fingerprint) is None
+        assert not path.exists()
+        assert fingerprint not in store
+        assert _counter(store.telemetry, "service.store.foreign") == 1
+        assert _counter(store.telemetry, "service.store.misses") == 1
+
+    def test_truncated_archive_without_index_gets_a_bare_entry(
+        self, tmp_path, tally, fingerprint
+    ):
+        store = ResultStore(tmp_path / "store")
+        path = store.put(fingerprint, tally)
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) // 2])
+        (store.root / "index.json").unlink()
+        telemetry = Telemetry()
+        rebuilt = ResultStore(store.root, telemetry=telemetry)  # must not raise
+        assert fingerprint in rebuilt
+        assert rebuilt.best_prefix("0" * 64, 10**6) is None
+        assert rebuilt.get(fingerprint) is None
+        assert _counter(telemetry, "service.store.foreign") == 1
+
+    def test_header_with_list_records_is_evicted_as_a_miss(
+        self, tmp_path, tally, fingerprint
+    ):
+        store = ResultStore(tmp_path / "store", telemetry=Telemetry())
+        path = store.put(fingerprint, tally)
+        self._rewrite_header(path, records=[])
+        assert store.get(fingerprint) is None
+        assert not path.exists()
+        assert _counter(store.telemetry, "service.store.foreign") == 1
+        assert _counter(store.telemetry, "service.store.misses") == 1
 
 
 class TestLRUEviction:
