@@ -160,6 +160,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_ref: "ServiceServer"  # injected by ServiceServer via a subclass attr
     protocol_version = "HTTP/1.1"
+    #: Headers and body go out in two writes; with Nagle's algorithm on, a
+    #: kept-alive client's delayed ACK would hold each body back ~40 ms.
+    disable_nagle_algorithm = True
 
     @property
     def manager(self) -> JobManager:

@@ -356,6 +356,7 @@ class JobManager:
         leak a ``repro-service`` thread into the next case.  Queued jobs
         are cancelled locally but — when a journal is attached — their
         ``submitted`` records remain, so a restarted manager replays them.
+        The store's index is snapshotted last, after the journal closes.
         """
         with self._lock:
             if self._closed:
@@ -373,6 +374,8 @@ class JobManager:
                     job._cancel()
         if self.journal is not None:
             self.journal.close()
+        if self.store is not None:
+            self.store.close()
 
     def drain(self, timeout: float | None = None) -> bool:
         """Graceful shutdown, phase one: stop admitting, let flights finish.

@@ -65,6 +65,11 @@ _RECORD_VERSION = 1
 #: Events that close a job; anything else leaves it open for replay.
 _TERMINAL_EVENTS = frozenset({"done", "failed", "cancelled"})
 
+#: Types of a ``submitted`` record's fingerprint, request, priority, client
+#: and ts; replay skips a record that breaks one.
+_OPTIONAL = type(None)
+_SUBMITTED_TYPES = (str, (dict, _OPTIONAL), int, (str, _OPTIONAL), float)
+
 #: Compact once the log exceeds this size (checked by the manager after
 #: terminal events; purely a growth bound, not a correctness knob).
 DEFAULT_MAX_BYTES = 4 << 20
@@ -190,15 +195,17 @@ class JobJournal:
         """Fold the log into the list of jobs still owed a result.
 
         Jobs come back in submission order.  A torn final line (crash
-        mid-append) is skipped and counted; a ``started`` job with no
-        terminal event is marked ``was_running`` so the manager resumes it
-        from its checkpoint.
+        mid-append) is skipped and counted, as is any line that is not a
+        well-typed record; a ``started`` job with no terminal event is
+        marked ``was_running`` so the manager resumes it from its
+        checkpoint.
         """
         submitted: dict[str, OpenJob] = {}
         closed: set[str] = set()
         torn = 0
         try:
-            raw = self.path.read_text(encoding="utf-8")
+            # A torn multi-byte character must not sink the whole log.
+            raw = self.path.read_text(encoding="utf-8", errors="replace")
         except OSError:
             return []
         for line in raw.splitlines():
@@ -207,7 +214,7 @@ class JobJournal:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError:
+            except (ValueError, RecursionError):
                 torn += 1
                 continue
             if not isinstance(rec, dict) or rec.get("v") != _RECORD_VERSION:
@@ -219,17 +226,19 @@ class JobJournal:
                 torn += 1
                 continue
             if event == "submitted":
-                fingerprint = rec.get("fingerprint")
-                if not isinstance(fingerprint, str):
+                fields = (rec.get("fingerprint"), rec.get("request"),
+                          rec.get("priority", 1), rec.get("client"), rec.get("ts", 0.0))
+                if not all(map(isinstance, fields, _SUBMITTED_TYPES)):
                     torn += 1
                     continue
+                fingerprint, request, priority, client, ts = fields
                 submitted[job_id] = OpenJob(
                     job_id=job_id,
                     fingerprint=fingerprint,
-                    request=rec.get("request"),
-                    priority=int(rec.get("priority", 1)),
-                    client=rec.get("client"),
-                    submitted_ts=float(rec.get("ts", 0.0)),
+                    request=request,
+                    priority=priority,
+                    client=client,
+                    submitted_ts=ts,
                 )
             elif event == "started":
                 job = submitted.get(job_id)

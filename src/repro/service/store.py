@@ -8,9 +8,15 @@ fingerprint is present never has to be simulated again.
 
 Properties
 ----------
-* **Atomic writes.**  Both the archive (``save_tally``'s temp-file +
-  ``os.replace``) and the index are written atomically; a reader or a
-  concurrent server process never observes a torn artifact.
+* **Atomic artifacts, snapshot index.**  Each archive is written
+  atomically (``save_tally``'s temp-file + ``os.replace``), so a reader or
+  a concurrent server process never observes a torn artifact.  The index
+  lives in memory; :meth:`ResultStore.close` snapshots it to
+  ``index.json``.  Open reconciles the snapshot against the artifacts:
+  an entry whose archive is gone is dropped, and an archive with no entry
+  or a changed ``(size, mtime_ns)`` is re-read from its header.  The
+  directory is the log — a put is a rename, an eviction an unlink — so a
+  killed process loses only recency (``last_access``), never an entry.
 * **Self-verifying reads.**  Every stored tally embeds its fingerprint in
   the archive provenance; :meth:`ResultStore.get` and :meth:`get_frontier`
   re-check it on load (see ``load_tally(expected_fingerprint=...)``)
@@ -20,25 +26,18 @@ Properties
   reported as a miss instead of being served as a wrong answer.
 * **Bounded size.**  ``max_bytes`` caps the total archive footprint with
   least-recently-used eviction (access order, not insertion order).
-* **Prefix addressing.**  Entries carry their **physics fingerprint**
-  (budget-independent; see :func:`repro.service.physics_fingerprint`) and
-  photon budget, so :meth:`ResultStore.best_prefix` answers "largest
-  cached budget below the requested one" queries.  An archive saved with
-  its reduction frontier (:meth:`put` ``frontier=...``) is
+* **Prefix addressing.**  Entries carry their budget-independent
+  **physics fingerprint** and photon budget, so
+  :meth:`ResultStore.best_prefix` finds the largest cached budget below a
+  requested one.  An archive saved with its reduction frontier is
   *budget-extendable*: :meth:`get_frontier` restores the span partials a
-  delta run primes into its reducer.  Storing a larger budget for the
-  same physics **supersedes** dominated smaller-budget entries (same
-  physics, smaller budget, no wider frontier, no path records the new
-  entry lacks) — the larger archive answers every query the smaller one
-  could.
+  delta run primes into its reducer.  A larger budget for the same
+  physics **supersedes** the smaller entries it dominates.
 * **Derivation addressing.**  Entries also carry their **derivation
-  basis** (μa/μs factored out; see
-  :func:`repro.service.derivation_basis`), the per-layer coefficients,
-  and whether the archive holds per-photon path records.
-  :meth:`best_derivation` answers "which cached sibling can a
-  perturbation-MC reweighting (:mod:`repro.perturb`) derive this request
-  from" queries; ``get(fingerprint, paths=True)`` restores the parent
-  with its records in one read.
+  basis** (μa/μs factored out), per-layer coefficients and whether they
+  hold path records, so :meth:`best_derivation` finds the cached sibling
+  a perturbation-MC reweighting (:mod:`repro.perturb`) can derive a
+  request from; ``get(fingerprint, paths=True)`` reads it in one go.
 * **Observability.**  Hits, misses, evictions, supersessions, foreign
   rejections and the current byte footprint flow into a
   :class:`~repro.observe.Telemetry` when one is attached.
@@ -46,6 +45,7 @@ Properties
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
@@ -66,11 +66,41 @@ _T = TypeVar("_T")
 logger = logging.getLogger(__name__)
 
 _INDEX_NAME = "index.json"
-#: Version 3 added derivation addressing (basis, coefficients, paths flag).
-_INDEX_VERSION = 3
+#: Version 3 added derivation addressing (basis, coefficients, paths flag);
+#: version 4 stamps entries with their artifact's ``mtime_ns``.  A v3
+#: snapshot still loads, stamped from ``stat``.
+_INDEX_VERSION = 4
+
+#: Every index entry field with its JSON type and its value when unknown.
+_OPT_STR = (str, type(None))
+_FIELDS = {
+    "bytes": (int, 0), "mtime_ns": (int, 0), "created": ((int, float), 0.0),
+    "last_access": ((int, float), 0.0), "physics": (_OPT_STR, None),
+    "n_photons": ((int, type(None)), None), "frontier_tasks": (int, 0),
+    "basis": (_OPT_STR, None), "coefficients": ((dict, type(None)), None),
+    "paths": (bool, False), "derived": (bool, False),
+}
 
 #: Default size bound: 1 GiB of tally archives.
 DEFAULT_MAX_BYTES = 1 << 30
+
+
+def _is_fingerprint(name: str) -> bool:
+    return bool(name) and "/" not in name and "." not in name
+
+
+def _well_typed(entry) -> bool:
+    return isinstance(entry, dict) and all(
+        key in entry and isinstance(entry[key], kind)
+        for key, (kind, _) in _FIELDS.items()
+    )
+
+
+def _entry(st: os.stat_result, **fields) -> dict:
+    """An index entry for the artifact ``st`` describes."""
+    entry = {key: default for key, (_, default) in _FIELDS.items()}
+    entry.update(bytes=st.st_size, mtime_ns=st.st_mtime_ns, created=st.st_mtime)
+    return {**entry, "last_access": st.st_mtime, **fields}
 
 
 def _prefix_tasks(spans) -> int:
@@ -81,6 +111,34 @@ def _prefix_tasks(spans) -> int:
             return 0
         expect = stop
     return expect
+
+
+def _summarise(path: str, st: os.stat_result) -> dict:
+    """An index entry re-read from an artifact's archive header.
+
+    Content is not verified here: every read self-verifies, so a foreign
+    or unreadable artifact gets a bare entry and is evicted on its first
+    read instead of blocking open.
+    """
+    try:
+        summary = archive_summary(path)
+    except (ValueError, OSError):
+        return _entry(st)
+    prov = summary["provenance"] or {}
+    entry = _entry(
+        st,
+        physics=prov.get("physics_fingerprint"),
+        n_photons=prov.get("n_photons") if prov.get("task_range") is None else None,
+        frontier_tasks=_prefix_tasks(summary["frontier_spans"]),
+        basis=prov.get("derivation_basis"),
+        coefficients=prov.get("coefficients"),
+        paths="paths" in summary.get("sections", []),
+        # "derived" means perturbation-reweighted (approximate for
+        # scattering); prefix-extended entries also carry ``derived_from``
+        # but are exact simulation — distinguish by the perturbation payload.
+        derived="perturbation" in (prov.get("derived_from") or {}),
+    )
+    return entry if _well_typed(entry) else _entry(st)
 
 
 class ResultStore:
@@ -100,120 +158,103 @@ class ResultStore:
         self.max_bytes = max_bytes
         self.telemetry = telemetry
         self._lock = threading.RLock()
-        self._rebuilt = False
-        self._index: dict[str, dict] = self._load_index()
-        if self._rebuilt:
-            with self._lock:
-                self._save_index()
-        self._prune_missing()
+        self._index_path = self.root / _INDEX_NAME
+        self._index: dict[str, dict] = self._open_index()
+        self._set_bytes_gauge()
 
     # ------------------------------------------------------------- index I/O
-    @property
-    def _index_path(self) -> Path:
-        return self.root / _INDEX_NAME
+    def _open_index(self) -> dict[str, dict]:
+        """The last snapshot, reconciled against the artifacts on disk.
 
-    def _load_index(self) -> dict[str, dict]:
-        try:
-            raw = json.loads(self._index_path.read_text())
-        except FileNotFoundError:
-            # No index at all.  A fresh store is the common case; artifacts
-            # without an index mean the index was lost — rebuild from them.
-            return self._rebuild_index() if any(self.root.glob("*.npz")) else {}
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            # Corrupt or truncated index (e.g. the process died mid-crash
-            # with a torn file): the artifacts are the ground truth.
-            return self._rebuild_index()
-        if not isinstance(raw, dict) or raw.get("index_version") != _INDEX_VERSION:
-            return self._rebuild_index()
-        entries = raw.get("entries")
-        if not isinstance(entries, dict):
-            return self._rebuild_index()
-        return dict(entries)
-
-    def _rebuild_index(self) -> dict[str, dict]:
-        """Reconstruct the index from the ``*.npz`` artifacts on disk.
-
-        Sizes and access times come from ``stat``; content correctness is
-        not re-verified here — every :meth:`get` self-verifies the archive
-        provenance anyway, so a corrupt artifact is evicted on first read
-        rather than blocking startup.
+        A missing, unreadable or unknown-version snapshot reconciles as an
+        empty one: a rebuild, counted as ``service.store.index_rebuilds``
+        unless the store is new.  The result is written back only if it
+        differs from the snapshot.
         """
-        entries: dict[str, dict] = {}
-        for path in sorted(self.root.glob("*.npz")):
-            fingerprint = path.stem
-            if not fingerprint or "/" in fingerprint or "." in fingerprint:
-                continue  # not a store artifact
-            try:
-                st = path.stat()
-            except OSError:
-                continue
-            entry = {
-                "bytes": st.st_size,
-                "created": st.st_mtime,
-                "last_access": st.st_mtime,
-                "physics": None,
-                "n_photons": None,
-                "frontier_tasks": 0,
-                "basis": None,
-                "coefficients": None,
-                "paths": False,
-                "derived": False,
-            }
-            # Recover the prefix/derivation-addressing metadata from the
-            # archive header; an unreadable artifact still gets a bare
-            # entry — the first get() self-verifies and evicts it if
-            # foreign.
-            try:
-                summary = archive_summary(path)
-            except (ValueError, OSError):
-                summary = None
-            if summary is not None:
-                prov = summary["provenance"] or {}
-                entry["physics"] = prov.get("physics_fingerprint")
-                if prov.get("task_range") is None:
-                    entry["n_photons"] = prov.get("n_photons")
-                entry["frontier_tasks"] = _prefix_tasks(summary["frontier_spans"])
-                entry["basis"] = prov.get("derivation_basis")
-                entry["coefficients"] = prov.get("coefficients")
-                entry["paths"] = "paths" in summary.get("sections", [])
-                # "derived" means perturbation-reweighted (approximate for
-                # scattering); prefix-extended entries also carry
-                # ``derived_from`` but are exact simulation — distinguish
-                # by the perturbation payload.
-                entry["derived"] = "perturbation" in (prov.get("derived_from") or {})
-            entries[fingerprint] = entry
-        logger.warning(
-            "result store %s: index unreadable, rebuilt from %d artifact(s)",
-            self.root, len(entries),
-        )
-        self._count("service.store.index_rebuilds")
-        self._rebuilt = True
+        snapshot = self._load_snapshot()
+        entries = self._reconcile(snapshot or {})
+        if snapshot is None:
+            if not entries and not self._index_path.exists():
+                return entries  # a new store
+            logger.warning(
+                "result store %s: index unreadable, rebuilt from %d artifact(s)",
+                self.root, len(entries),
+            )
+            self._count("service.store.index_rebuilds")
+        if entries != snapshot:
+            self._write_snapshot(entries)
         return entries
 
-    def _save_index(self) -> None:
-        payload = json.dumps(
-            {"index_version": _INDEX_VERSION, "entries": self._index}
-        )
+    def _load_snapshot(self) -> dict | None:
+        try:
+            raw = json.loads(self._index_path.read_bytes())
+        except (OSError, ValueError, RecursionError):
+            return None
+        if isinstance(raw, dict) and raw.get("index_version") in (3, _INDEX_VERSION):
+            entries = raw.get("entries")
+            return entries if isinstance(entries, dict) else None
+        return None
+
+    def _reconcile(self, snapshot: dict) -> dict[str, dict]:
+        """The snapshot's entries, made true of the ``*.npz`` files on disk.
+
+        An entry whose artifact is gone is dropped.  An artifact with no
+        well-typed entry, or whose ``(st_size, st_mtime_ns)`` differs from
+        its entry's, is re-read with :func:`_summarise`.  A v3 entry has no
+        ``mtime_ns``; a matching size keeps it, stamped from ``stat``.
+        """
+        entries: dict[str, dict] = {}
+        with os.scandir(self.root) as listing:
+            for item in listing:
+                fingerprint, ext = os.path.splitext(item.name)
+                if ext != ".npz" or not _is_fingerprint(fingerprint):
+                    continue  # not a store artifact
+                try:
+                    st = item.stat()
+                except OSError:
+                    continue
+                known = snapshot.get(fingerprint)
+                if isinstance(known, dict):
+                    known = {"mtime_ns": st.st_mtime_ns, **known}
+                fresh = _well_typed(known) and (
+                    known["bytes"], known["mtime_ns"]
+                ) == (st.st_size, st.st_mtime_ns)
+                entries[fingerprint] = known if fresh else _summarise(item.path, st)
+        return entries
+
+    def _write_snapshot(self, entries: dict[str, dict]) -> None:
+        """Atomically replace ``index.json``; a failure is logged, not raised.
+
+        Every acknowledged put is already an artifact and the next open
+        reconciles against them, so a failed snapshot costs only recency.
+        """
+        payload = json.dumps({"index_version": _INDEX_VERSION, "entries": entries})
         tmp = self._index_path.with_name(_INDEX_NAME + ".tmp")
         try:
             tmp.write_text(payload)
             os.replace(tmp, self._index_path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        except OSError as exc:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+            logger.warning(
+                "result store %s: index snapshot failed (%s); the next open "
+                "reconciles it from the artifacts", self.root, exc,
+            )
+            self._count("service.store.snapshot_failures")
 
-    def _prune_missing(self) -> None:
+    def close(self) -> None:
+        """Snapshot the index to ``index.json``.
+
+        Besides reconciliation on open, this is the only index write.  The
+        store stays usable; a later ``close`` snapshots again.
+        """
         with self._lock:
-            stale = [fp for fp in self._index if not self.path(fp).exists()]
-            for fp in stale:
-                del self._index[fp]
-            if stale:
-                self._save_index()
-            self._set_bytes_gauge()
+            self._write_snapshot(self._index)
 
     # ------------------------------------------------------------- accessors
     def path(self, fingerprint: str) -> Path:
         """Where an artifact with this fingerprint lives (existing or not)."""
-        if not fingerprint or "/" in fingerprint or "." in fingerprint:
+        if not _is_fingerprint(fingerprint):
             raise ValueError(f"malformed fingerprint {fingerprint!r}")
         return self.root / f"{fingerprint}.npz"
 
@@ -238,19 +279,14 @@ class ResultStore:
         """The stored tally, or ``None`` on miss.
 
         ``paths=True`` also restores the entry's path records onto
-        ``tally.paths`` (``None`` when it holds none) — what a derivation
-        parent needs; exact hits leave them on disk.
-
-        A present-but-foreign or unreadable artifact (provenance
-        fingerprint absent or different, damaged archive) is deleted and
-        counted as ``service.store.foreign`` — the store never serves a
+        ``tally.paths`` (``None`` when it holds none), as a derivation
+        parent needs.  A foreign or unreadable artifact is deleted and
+        counted as ``service.store.foreign``: the store never serves a
         result it cannot prove belongs to the request.
         """
         tally = self._read(
             fingerprint,
-            lambda path: load_tally(
-                path, expected_fingerprint=fingerprint, paths=paths
-            ),
+            lambda p: load_tally(p, expected_fingerprint=fingerprint, paths=paths),
         )
         hit = tally is not None
         self._count("service.store.hits" if hit else "service.store.misses")
@@ -280,27 +316,18 @@ class ResultStore:
         any caller-supplied value) so :meth:`get` can verify the artifact.
 
         ``physics`` / ``n_photons`` register the entry for
-        :meth:`best_prefix` queries; ``frontier`` stores the run's reducer
-        span partials in the archive, making the entry budget-extendable
-        (restored via :meth:`get_frontier`).  ``basis`` / ``coefficients``
-        (see :func:`repro.service.derivation_basis` and
-        :func:`repro.service.perturbable_coefficients`) register it for
-        :meth:`best_derivation` queries; path records travel on
-        ``tally.paths`` and are persisted automatically by ``save_tally``.
-        ``derived`` marks entries produced by reweighting rather than
-        simulation (dispreferred as future derivation parents, so
-        approximation error never compounds silently).
+        :meth:`best_prefix`; ``frontier`` stores the run's reducer span
+        partials, making it budget-extendable (see :meth:`get_frontier`).
+        ``basis`` / ``coefficients`` register it for
+        :meth:`best_derivation`; path records travel on ``tally.paths``.
+        ``derived`` marks a reweighted (not simulated) entry, dispreferred
+        as a parent so approximation error never compounds silently.
 
         A new entry **supersedes** same-physics entries with a smaller
-        budget whose frontier covers no more tasks than the new one and
-        which hold no path records the new entry lacks — the larger
-        archive then answers every query the smaller one could, so the
-        smaller is freed immediately.
-
-        Eviction runs after the write: least-recently-used artifacts are
-        deleted until the store fits ``max_bytes`` again (the newly written
-        artifact is kept even if it alone exceeds the bound — a cache that
-        rejects its newest entry would never converge).
+        budget, a frontier covering no more tasks and no path records it
+        lacks: it answers every query they could.  Then least-recently-used
+        artifacts are evicted until the store fits ``max_bytes``; the new
+        one is kept even alone over the bound, or the cache never converges.
         """
         provenance = dict(provenance or {})
         provenance["fingerprint"] = fingerprint
@@ -318,34 +345,27 @@ class ResultStore:
                 frontier=frontier,
             )
             now = time.time()
-            self._index[fingerprint] = {
-                "bytes": path.stat().st_size,
-                "created": now,
-                "last_access": now,
-                "physics": physics,
-                "n_photons": int(n_photons) if n_photons is not None else None,
-                "frontier_tasks": frontier_tasks,
-                "basis": basis,
-                "coefficients": coefficients,
-                "paths": has_paths,
-                "derived": bool(derived),
-            }
+            self._index[fingerprint] = _entry(
+                path.stat(), created=now, last_access=now, physics=physics,
+                n_photons=int(n_photons) if n_photons is not None else None,
+                frontier_tasks=frontier_tasks, basis=basis,
+                coefficients=coefficients, paths=has_paths, derived=bool(derived),
+            )
             if physics is not None and n_photons is not None:
                 for fp, entry in list(self._index.items()):
                     if (
                         fp != fingerprint
-                        and entry.get("physics") == physics
-                        and entry.get("n_photons") is not None
+                        and entry["physics"] == physics
+                        and entry["n_photons"] is not None
                         and entry["n_photons"] < n_photons
-                        and entry.get("frontier_tasks", 0) <= frontier_tasks
+                        and entry["frontier_tasks"] <= frontier_tasks
                         # Never free a paths-bearing entry for a paths-less
                         # one: the records are what derivations feed on.
-                        and (has_paths or not entry.get("paths", False))
+                        and (has_paths or not entry["paths"])
                     ):
                         self._evict(fp)
                         self._count("service.store.superseded")
             self._evict_over_budget(keep=fingerprint)
-            self._save_index()
             self._set_bytes_gauge()
             return path
 
@@ -355,59 +375,40 @@ class ResultStore:
         """The best budget-extension base for a ``(physics, n_photons)`` query.
 
         Returns ``(fingerprint, cached_n_photons, frontier_tasks)`` for the
-        largest-budget entry with the same physics fingerprint, a strictly
-        smaller budget, and a usable (non-empty, prefix-shaped) stored
-        frontier — or ``None`` when no such entry exists.  An exact-budget
-        hit is :meth:`get`'s business, not this method's.
+        largest-budget entry with the same physics, a strictly smaller
+        budget and a usable (non-empty, prefix-shaped) stored frontier, or
+        ``None``.  An exact-budget hit is :meth:`get`'s business.
         """
         with self._lock:
-            best: tuple[str, int, int] | None = None
-            for fp, entry in self._index.items():
-                cached = entry.get("n_photons")
-                if (
-                    entry.get("physics") != physics
-                    or cached is None
-                    or cached >= n_photons
-                    or entry.get("frontier_tasks", 0) <= 0
-                ):
-                    continue
-                if best is None or cached > best[1]:
-                    best = (fp, cached, entry["frontier_tasks"])
-            return best
+            bases = [
+                (fp, e["n_photons"], e["frontier_tasks"])
+                for fp, e in self._index.items()
+                if e["physics"] == physics and e["n_photons"] is not None
+                and e["n_photons"] < n_photons and e["frontier_tasks"] > 0
+            ]
+        return max(bases, key=lambda base: base[1], default=None)
 
     def best_derivation(
         self, basis: str, n_photons: int, *, exclude: str | None = None
     ) -> tuple[str, dict, bool] | None:
         """The best perturbation parent for a ``(basis, n_photons)`` query.
 
-        Returns ``(fingerprint, coefficients, derived)`` for a cached entry
-        with the same derivation basis, the **same** photon budget (a
-        derivation reweights the detected ensemble — it cannot change its
-        size) and stored path records, or ``None``.  Simulation-born
-        parents are preferred over derived ones (so scattering
-        approximation error never compounds); among equals the most
-        recently accessed wins.  ``exclude`` skips one fingerprint
-        (typically the request's own, which would be an exact hit, not a
-        derivation).
+        Returns ``(fingerprint, coefficients, derived)`` for an entry with
+        the same basis, the **same** budget (reweighting cannot resize the
+        detected ensemble) and path records, or ``None``.  Simulated
+        parents beat derived ones, so approximation error never compounds;
+        among equals the most recently accessed wins.  ``exclude`` skips
+        one fingerprint (typically the request's own exact hit).
         """
         with self._lock:
-            best: tuple[str, dict, bool] | None = None
-            best_rank: tuple | None = None
-            for fp, entry in self._index.items():
-                if (
-                    fp == exclude
-                    or entry.get("basis") != basis
-                    or entry.get("basis") is None
-                    or not entry.get("paths", False)
-                    or entry.get("n_photons") != n_photons
-                    or not entry.get("coefficients")
-                ):
-                    continue
-                rank = (not entry.get("derived", False), entry.get("last_access", 0))
-                if best_rank is None or rank > best_rank:
-                    best = (fp, entry["coefficients"], bool(entry.get("derived")))
-                    best_rank = rank
-            return best
+            parents = [
+                (fp, e["coefficients"], e["derived"], e["last_access"])
+                for fp, e in self._index.items()
+                if fp != exclude and e["basis"] is not None and e["basis"] == basis
+                and e["paths"] and e["n_photons"] == n_photons and e["coefficients"]
+            ]
+        best = max(parents, key=lambda p: (not p[2], p[3]), default=None)
+        return None if best is None else best[:3]
 
     def get_frontier(self, fingerprint: str) -> TallyFrontier | None:
         """The stored reduction frontier for an entry, or ``None``.
@@ -426,7 +427,7 @@ class ResultStore:
         Looks the entry up and loads its artifact with ``load``.  A load
         that fails is a foreign or damaged artifact: it is evicted and
         counted as ``service.store.foreign``.  A load that finds something
-        touches the entry's ``last_access`` for LRU order.
+        touches the entry's ``last_access`` (in memory) for LRU order.
         """
         with self._lock:
             entry = self._index.get(fingerprint)
@@ -436,26 +437,23 @@ class ResultStore:
                 value = load(self.path(fingerprint))
             except (ValueError, OSError):
                 self._evict(fingerprint)
-                self._save_index()
                 self._count("service.store.foreign")
                 return None
             if value is not None:
                 entry["last_access"] = time.time()
-                self._save_index()
             return value
 
     def clear(self) -> None:
         with self._lock:
             for fp in list(self._index):
                 self._evict(fp)
-            self._save_index()
             self._set_bytes_gauge()
 
     # -------------------------------------------------------------- eviction
     def _evict_over_budget(self, keep: str) -> None:
         if self.max_bytes is None:
             return
-        total = sum(e["bytes"] for e in self._index.values())
+        total = self.total_bytes()
         victims = sorted(
             (fp for fp in self._index if fp != keep),
             key=lambda fp: self._index[fp]["last_access"],
@@ -478,6 +476,4 @@ class ResultStore:
 
     def _set_bytes_gauge(self) -> None:
         if self.telemetry is not None:
-            self.telemetry.gauge(
-                "service.store.bytes", sum(e["bytes"] for e in self._index.values())
-            )
+            self.telemetry.gauge("service.store.bytes", self.total_bytes())

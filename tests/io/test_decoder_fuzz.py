@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.io import (
     CodecError,
@@ -30,62 +30,9 @@ from repro.io import (
     save_tally,
 )
 from repro.io.codec import _PREAMBLE
-
-#: No deadline: a slow example on a loaded machine is not a failure.
-fuzz = settings(deadline=None)
+from tests.fuzzing import draw_edit, fuzz, mutate, mutations
 
 READERS = (load_tally, partial(load_tally, paths=True), load_frontier, archive_summary)
-
-_DELETE = object()
-
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
-    max_leaves=8,
-)
-
-mutations = st.lists(
-    st.tuples(st.integers(min_value=0), st.integers(0, 255)), min_size=1, max_size=8
-)
-
-
-def _mutate(raw: bytes, edits) -> bytes:
-    out = bytearray(raw)
-    for position, value in edits:
-        out[position % len(out)] = value
-    return bytes(out)
-
-
-def _field_paths(node, prefix=()):
-    """Every key path into a JSON document, the root included."""
-    yield prefix
-    items = node.items() if isinstance(node, dict) else (
-        enumerate(node) if isinstance(node, list) else ()
-    )
-    for key, child in items:
-        yield from _field_paths(child, prefix + (key,))
-
-
-def _replaced(doc, path, value):
-    """``doc`` (a fresh copy) with the field at ``path`` set or deleted."""
-    if not path:
-        return {} if value is _DELETE else value
-    doc = json.loads(json.dumps(doc))
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    if value is _DELETE:
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = value
-    return doc
-
-
-def _draw_edit(data, doc):
-    path = data.draw(st.sampled_from(list(_field_paths(doc))), label="path")
-    value = data.draw(json_values | st.just(_DELETE), label="value")
-    return _replaced(doc, path, value)
 
 
 # ------------------------------------------------------------------- codec
@@ -114,7 +61,7 @@ def test_codec_arbitrary_bytes(raw):
 @fuzz
 @given(edits=mutations, cut=st.integers(min_value=0))
 def test_codec_mutated_bytes(encoded, edits, cut):
-    mutated = _mutate(encoded, edits)
+    mutated = mutate(encoded, edits)
     _decodes_or_codec_error(bytearray(mutated))
     _decodes_or_codec_error(mutated[: cut % (len(mutated) + 1)])
 
@@ -124,7 +71,7 @@ def test_codec_mutated_bytes(encoded, edits, cut):
 def test_codec_manifest_fields(encoded, data):
     base = _PREAMBLE.size + _PREAMBLE.unpack_from(encoded, 0)[2]
     manifest = json.loads(encoded[_PREAMBLE.size : base])
-    raw = json.dumps(_draw_edit(data, manifest)).encode()
+    raw = json.dumps(draw_edit(data, manifest)).encode()
     buf = bytearray(_PREAMBLE.size) + raw + encoded[base:]
     _PREAMBLE.pack_into(buf, 0, b"RTLY", 1, len(raw))
     _decodes_or_codec_error(buf)
@@ -168,7 +115,7 @@ def test_archive_arbitrary_bytes(scratch, raw):
 @given(edits=mutations, cut=st.integers(min_value=0))
 def test_archive_mutated_bytes(scratch, archive_bytes, edits, cut):
     path = scratch / "mutated.npz"
-    mutated = _mutate(archive_bytes, edits)
+    mutated = mutate(archive_bytes, edits)
     for content in (mutated, archive_bytes[: cut % (len(archive_bytes) + 1)]):
         path.write_bytes(content)
         _readers_raise_only_documented(path)
@@ -181,7 +128,7 @@ def test_archive_header_fields(scratch, archive_bytes, data):
     source.write_bytes(archive_bytes)
     with np.load(source) as archive:
         members = {name: archive[name] for name in archive.files}
-    header = _draw_edit(data, json.loads(members["header"].tobytes()))
+    header = draw_edit(data, json.loads(members["header"].tobytes()))
     members["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
     path = scratch / "edited.npz"
     with open(path, "wb") as fh:

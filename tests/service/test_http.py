@@ -8,6 +8,7 @@ counter increments, zero new kernel spans).
 
 from __future__ import annotations
 
+import http.client
 import io
 import json
 import time
@@ -153,6 +154,22 @@ class TestLifecycle:
         assert _get(f"{server.url}/v2/healthz") == (
             200, {"ok": True, "draining": False}
         )
+
+    def test_keepalive_responses_do_not_stall(self, server):
+        # Header and body leave in separate writes; with Nagle's algorithm
+        # on, the client's delayed ACK holds each body back ~40 ms.
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        try:
+            start = time.perf_counter()
+            for _ in range(10):
+                conn.request("GET", "/v2/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 0.3
 
 
 class TestErrors:

@@ -126,6 +126,7 @@ class TestUnreadableArtifact:
         path = store.put(fingerprint, tally)
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
+        store.close()
         (store.root / "index.json").unlink()
         telemetry = Telemetry()
         rebuilt = ResultStore(store.root, telemetry=telemetry)  # must not raise
@@ -187,8 +188,9 @@ class TestLRUEviction:
 
     def test_index_is_valid_json_throughout(self, tmp_path, tally):
         store, _ = self._filled(tmp_path, tally, n=3)
+        store.close()
         raw = json.loads((store.root / "index.json").read_text())
-        assert raw["index_version"] == 3
+        assert raw["index_version"] == 4
         assert set(raw["entries"]) == set(store.fingerprints())
 
 
@@ -200,6 +202,7 @@ class TestIndexRebuild:
         fps = ["a" * 64, "b" * 64]
         for fp in fps:
             store.put(fp, tally)
+        store.close()
         return store.root, fps
 
     def test_corrupt_index_rebuilt(self, tmp_path, tally):
@@ -224,7 +227,7 @@ class TestIndexRebuild:
         store = ResultStore(root)
         assert set(store.fingerprints()) == set(fps)
         # The rebuilt index is persisted for the next open.
-        assert json.loads((root / "index.json").read_text())["index_version"] == 3
+        assert json.loads((root / "index.json").read_text())["index_version"] == 4
 
     def test_wrong_version_index_rebuilt(self, tmp_path, tally):
         root, fps = self._seed_store(tmp_path, tally)
@@ -327,10 +330,12 @@ class TestPrefixIndex:
     def test_rebuild_recovers_prefix_metadata(self, tmp_path, tally, make_request):
         root = tmp_path / "store"
         fp, physics = self._keys(make_request, 400)
-        ResultStore(root).put(
+        store = ResultStore(root)
+        store.put(
             fp, tally, provenance={"n_photons": 400},
             physics=physics, n_photons=400, frontier=self._frontier(tally, 2),
         )
+        store.close()
         (root / "index.json").unlink()
         reopened = ResultStore(root)
         assert reopened.best_prefix(physics, 800) == (fp, 400, 2)
@@ -387,9 +392,146 @@ class TestEvictionFrontierInterplay:
             store.put(f"{i:064x}", tally)
         assert base_fp not in store
         assert store.get_frontier(base_fp) is None
+        store.close()
         index = _json.loads((tmp_path / "store" / "index.json").read_text())
         assert base_fp not in index["entries"]
         # Re-putting the base re-registers it for extension queries.
         store.put(base_fp, tally, physics=physics, n_photons=200,
                   frontier=TallyFrontier([(0, 1, tally)]))
         assert store.best_prefix(physics, 800) == (base_fp, 200, 1)
+
+
+class TestCrashRecovery:
+    """A store reopened without ``close()`` — a killed process — reconciles
+    its last snapshot against the artifacts on disk."""
+
+    def test_put_after_last_snapshot_is_adopted(self, tmp_path, make_request):
+        from repro.core.reduce import TallyFrontier
+        from repro.service import physics_fingerprint
+        from repro.service.fingerprint import (
+            derivation_basis,
+            perturbable_coefficients,
+        )
+
+        request = make_request()
+        fp, physics = request_fingerprint(request), physics_fingerprint(request)
+        basis = derivation_basis(request)
+        coefficients = perturbable_coefficients(request)
+        captured = Simulation(build_config(request)).run(
+            300, seed=2, capture_paths=True
+        )
+        root = tmp_path / "store"
+        store = ResultStore(root)
+        store.put("a" * 64, captured)
+        store.close()
+        store.put(
+            fp, captured, provenance={"n_photons": 400}, physics=physics,
+            n_photons=400, frontier=TallyFrontier([(0, 2, captured)]),
+            basis=basis, coefficients=coefficients,
+        )
+        telemetry = Telemetry()
+        reopened = ResultStore(root, telemetry=telemetry)  # no close(): a crash
+        assert set(reopened.fingerprints()) == {"a" * 64, fp}
+        assert reopened.best_prefix(physics, 800) == (fp, 400, 2)
+        assert reopened.best_derivation(basis, 400) == (fp, coefficients, False)
+        assert reopened.get(fp, paths=True).paths == captured.paths
+        assert _counter(telemetry, "service.store.index_rebuilds") == 0
+
+    def test_unlinked_artifact_entry_is_dropped(self, tmp_path, tally):
+        store = ResultStore(tmp_path / "store")
+        a, b = "a" * 64, "b" * 64
+        store.put(a, tally)
+        store.put(b, tally)
+        store.close()
+        store.path(a).unlink()
+        reopened = ResultStore(store.root)
+        assert reopened.fingerprints() == [b]
+        # The reconciled snapshot is written back.
+        raw = json.loads((store.root / "index.json").read_text())
+        assert set(raw["entries"]) == {b}
+
+    def test_artifact_overwritten_in_place_is_resummarised(
+        self, tmp_path, tally, make_request
+    ):
+        from repro.core.reduce import TallyFrontier
+        from repro.service import physics_fingerprint
+
+        request = make_request()
+        fp, physics = request_fingerprint(request), physics_fingerprint(request)
+        store = ResultStore(tmp_path / "store")
+        path = store.put(fp, tally, provenance={"n_photons": 400}, physics=physics,
+                         n_photons=400, frontier=TallyFrontier([(0, 2, tally)]))
+        store.close()
+        # Another writer replaces the archive with a frontierless one.
+        save_tally(path, tally, provenance={
+            "fingerprint": fp, "physics_fingerprint": physics, "n_photons": 400,
+        })
+        reopened = ResultStore(store.root)
+        assert fp in reopened
+        assert reopened.best_prefix(physics, 800) is None
+        assert reopened.get(fp) == tally
+
+    def test_version_3_index_keeps_recency(self, tmp_path, tally):
+        telemetry = Telemetry()
+        store = ResultStore(tmp_path / "store")
+        for fp in ("a" * 64, "b" * 64):
+            store.put(fp, tally)
+            time.sleep(0.01)
+        store.get("a" * 64)
+        store.close()
+        index = store.root / "index.json"
+        raw = json.loads(index.read_text())
+        for entry in raw["entries"].values():
+            del entry["mtime_ns"]
+        index.write_text(json.dumps({**raw, "index_version": 3}))
+
+        reopened = ResultStore(store.root, telemetry=telemetry)
+        assert _counter(telemetry, "service.store.index_rebuilds") == 0
+        migrated = json.loads(index.read_text())
+        assert migrated["index_version"] == 4
+        for fp, entry in raw["entries"].items():
+            assert migrated["entries"][fp]["last_access"] == entry["last_access"]
+            assert migrated["entries"][fp]["mtime_ns"] == (
+                reopened.path(fp).stat().st_mtime_ns
+            )
+
+    def test_lru_order_survives_close_and_reopen(self, tmp_path, tally):
+        a, b, c = "a" * 64, "b" * 64, "c" * 64
+        store = ResultStore(tmp_path / "store")
+        store.put(a, tally)
+        time.sleep(0.01)
+        store.put(b, tally)
+        time.sleep(0.01)
+        assert store.get(a) is not None  # b is now least recently used
+        store.close()
+        # Artifact mtimes alone would make ``a`` the oldest.
+        reopened = ResultStore(store.root, max_bytes=int(2.5 * store.total_bytes() / 2))
+        reopened.put(c, tally)
+        assert set(reopened.fingerprints()) == {a, c}
+
+
+class TestSnapshotFailure:
+    """A failed index snapshot is logged and counted, never raised."""
+
+    def test_enospc_on_close_loses_nothing(self, tmp_path, tally, monkeypatch):
+        import errno
+        from pathlib import Path
+
+        from repro.service import JobManager
+
+        def full_disk(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        store = ResultStore(tmp_path / "store")
+        manager = JobManager(store, max_workers=1, journal=tmp_path / "journal")
+        fps = ["a" * 64, "b" * 64]
+        for fp in fps:
+            store.put(fp, tally)
+        monkeypatch.setattr(Path, "write_text", full_disk)
+        manager.close()  # must not raise
+        monkeypatch.undo()
+        assert manager.journal._file.closed
+        assert _counter(manager.telemetry, "service.store.snapshot_failures") == 1
+        assert not (store.root / "index.json").exists()
+        assert not (store.root / "index.json.tmp").exists()
+        assert set(ResultStore(store.root).fingerprints()) == set(fps)
