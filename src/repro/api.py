@@ -23,15 +23,18 @@ True
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable
+from typing import Callable, get_args
 
 from . import __version__
 from .core import RecordConfig, SimulationConfig
 from .core.simulation import KernelName
 from .distributed import (
+    BACKEND_NAMES,
     CheckpointManager,
     DataManager,
     NetworkServer,
@@ -40,7 +43,15 @@ from .distributed import (
 )
 from .observe import ProgressReporter, Telemetry, TTYProgress
 
-__all__ = ["RunRequest", "run", "build_config", "resolve_checkpoint", "DEFAULT_TASK_SIZE"]
+__all__ = [
+    "DEFAULT_TASK_SIZE",
+    "ROLES",
+    "SCHEMA",
+    "RunRequest",
+    "build_config",
+    "resolve_checkpoint",
+    "run",
+]
 
 #: Default self-scheduling chunk size.  Deliberately independent of the
 #: worker count: the decomposition — and therefore the tally — must be a
@@ -48,6 +59,72 @@ __all__ = ["RunRequest", "run", "build_config", "resolve_checkpoint", "DEFAULT_T
 DEFAULT_TASK_SIZE = 10_000
 
 _MODELS = ("white_matter", "adult_head", "neonatal_head")
+
+#: The four roles a request field plays.  Physics and budget fields decide
+#: the tally and enter the request fingerprint; execution and
+#: observability fields decide how (and how visibly) it is computed.
+ROLES = ("physics", "budget", "execution", "observability")
+
+
+def _field(default, role, kind=None, /, *, ge=None, gt=None, pair=False,
+           wire=False, unjournalable=False, changes_bits=False,
+           flag=None, commands=("run",), **cli):
+    """One row of the request schema: a dataclass field and its metadata.
+
+    ``kind`` is ``int``, ``float``, ``bool``, ``str``, a tuple of allowed
+    strings, or ``None`` for an object the consumer checks; ``ge``/``gt``
+    bound numbers (both ends of a ``pair``).  ``wire`` lets an HTTP body
+    set the field.  ``unjournalable`` marks a non-wire field whose
+    non-default value makes the request unreplayable from the journal.
+    ``changes_bits`` marks the one execution field that changes the tally's
+    bits without entering its fingerprint.  ``flag`` exposes the field on
+    the ``commands`` CLI subcommands; the remaining keywords are argparse
+    options (``default`` overrides the field default on the command line,
+    ``defaults`` per command).
+    """
+    meta = dict(role=role, kind=kind, ge=ge, gt=gt, pair=pair, wire=wire,
+                unjournalable=unjournalable, changes_bits=changes_bits)
+    if flag is not None:
+        meta["cli"] = dict(cli, flag=flag, commands=commands)
+    return field(default=default, metadata=meta)
+
+
+def _is(kind, item, pair: bool) -> bool:
+    """Whether ``item`` is a value of ``kind`` (``int``/``float`` exclude bool)."""
+    if kind is int:
+        return isinstance(item, numbers.Integral) and not isinstance(item, bool)
+    if kind is float:
+        if not isinstance(item, numbers.Real) or isinstance(item, bool):
+            return False
+        try:  # an open-ended window (a pair's upper end) may be infinite
+            return math.isfinite(item) or (pair and item == math.inf)
+        except OverflowError:  # an int beyond float range
+            return False
+    return isinstance(item, kind)
+
+
+def _check(name: str, value, meta) -> None:
+    """Type- and range-check one field value against its schema row."""
+    kind, pair = meta["kind"], meta["pair"]
+    if kind is None or (value is None and meta["nullable"]):
+        return
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ValueError(f"unknown {name} {value!r}; choose from {kind}")
+        return
+    items = value if pair and isinstance(value, tuple) else (value,)
+    if len(items) != 1 + pair or not all(_is(kind, item, pair) for item in items):
+        noun = "finite float" if kind is float else kind.__name__
+        raise ValueError(
+            f"{name} must be {f'a pair of {noun}s' if pair else noun}, got {value!r}"
+        )
+    for item in items:
+        if meta["ge"] is not None and not item >= meta["ge"]:
+            raise ValueError(f"{name} must be >= {meta['ge']}, got {value!r}")
+        if meta["gt"] is not None and not item > meta["gt"]:
+            raise ValueError(f"{name} must be > {meta['gt']}, got {value!r}")
+    if pair and not items[0] < items[1]:
+        raise ValueError(f"{name} must be an increasing pair, got {value!r}")
 
 
 @dataclass
@@ -60,138 +137,147 @@ class RunRequest:
     given a pencil-beam source and the detector/gate fields below) must be
     set.
 
-    Execution fields
-    ----------------
-    workers / backend:
-        ``backend`` is one of ``"serial" | "thread" | "process"`` (see
-        :func:`repro.distributed.make_backend`) or ``"auto"`` — serial for
-        one worker, a process pool otherwise.
-    mode:
-        ``"local"`` executes on an in-host backend; ``"serve"`` starts a
-        :class:`~repro.distributed.NetworkServer` on ``host:port`` and
-        blocks (up to ``serve_timeout``) until connecting clients finish
-        the photon budget.
-    checkpoint / resume / task_deadline:
-        The fault-tolerance knobs, identical in every mode: completed tasks
-        persist under the ``checkpoint`` directory, ``resume`` continues an
-        existing one (required — a stale directory is never extended
-        silently), ``task_deadline`` enables speculative re-dispatch.
-    compress:
-        In ``"serve"`` mode, offer zlib frame compression to connecting
-        clients (negotiated per connection; off by default).  Ignored in
-        ``"local"`` mode, which has no wire.
-    span_size / sub_batch:
-        Coordinator-throughput and kernel-tuning knobs.  ``span_size``
-        groups tasks into tree-aligned spans folded worker-side (one
-        payload and one coordinator merge per span; bit-identical to
-        per-task dispatch).  ``sub_batch`` overrides the vectorized
-        kernel's internal batch size; results are statistically equivalent
-        but not bit-identical across different values.  Both are
-        execution-only: neither enters the request fingerprint
-        (:mod:`repro.service.fingerprint`), and ``span_size`` never
-        changes the merged tally at all.
-    retain_task_tallies:
-        ``False`` drops each per-task tally once it is folded into the
-        incremental reduction, bounding memory on very large runs; the
-        merged tally is unaffected, but ``RunReport.task_results`` then
-        carry metadata only (see :mod:`repro.analysis` before disabling).
+    Every field is one row of the request schema (:data:`SCHEMA`): its
+    role, whether the HTTP wire may set it, whether the job journal can
+    replay it, its type and range (checked here, so every entry point
+    refuses the same values) and the ``run``/``serve`` flag that sets it.
+    The wire whitelist and coercion (:mod:`repro.service.http`), the
+    journal's replay rule and the CLI flag groups are all derived from it.
 
-    Observability fields
-    --------------------
-    telemetry:
-        A caller-owned :class:`~repro.observe.Telemetry`; or
-    metrics_path / progress:
-        Convenience constructors — a JSONL event-sink path and/or a
-        progress reporter (``True`` for a TTY bar, or any
-        :class:`~repro.observe.ProgressReporter`).  The facade then owns
-        the telemetry lifecycle and attaches the final metrics snapshot to
-        :attr:`~repro.distributed.RunReport.metrics`.
+    ``mode="serve"`` starts a :class:`~repro.distributed.NetworkServer` on
+    ``host:port`` and blocks (up to ``serve_timeout``) until connecting
+    clients finish the photon budget; ``"local"`` runs on an in-host
+    ``backend``.  ``telemetry`` is a caller-owned
+    :class:`~repro.observe.Telemetry`; with ``metrics_path`` / ``progress``
+    instead, the facade owns the telemetry lifecycle and attaches the final
+    metrics snapshot to :attr:`~repro.distributed.RunReport.metrics`.
     """
 
-    config: SimulationConfig | None = None
-    model: str | None = None
-    n_photons: int = 20_000
-    seed: int = 0
-    kernel: KernelName = "vector"
-    task_size: int | None = None
+    config: SimulationConfig | None = _field(None, "physics", unjournalable=True)
+    model: str | None = _field(
+        None, "physics", _MODELS, wire=True, flag="--model",
+        commands=("run", "serve"), default="adult_head")
+    n_photons: int = _field(
+        20_000, "budget", int, ge=0, wire=True, flag="--photons",
+        commands=("run", "serve"), defaults={"serve": 100_000}, metavar="PHOTONS")
+    seed: int = _field(0, "physics", int, ge=0, wire=True, flag="--seed",
+                       commands=("run", "serve"))
+    kernel: KernelName = _field("vector", "physics", get_args(KernelName),
+                                wire=True, flag="--kernel")
+    task_size: int | None = _field(
+        None, "physics", int, ge=1, wire=True, flag="--task-size",
+        commands=("run", "serve"), default=DEFAULT_TASK_SIZE)
 
-    # execution
-    workers: int = 1
-    backend: str = "auto"
-    mode: str = "local"
-    host: str = "127.0.0.1"
-    port: int = 0
-    serve_timeout: float = 3600.0
-    heartbeat_timeout: float | None = 30.0
+    workers: int = _field(1, "execution", int, ge=1, wire=True, flag="--workers",
+                          help="run distributed on this many local workers")
+    backend: str = _field(
+        "auto", "execution", ("auto", *BACKEND_NAMES), wire=True, flag="--backend",
+        help="execution backend (auto: serial for 1 worker, process pool otherwise)")
+    mode: str = _field("local", "execution", ("local", "serve"), unjournalable=True)
+    host: str = _field("127.0.0.1", "execution", str, flag="--host",
+                       commands=("serve",))
+    port: int = _field(0, "execution", int, ge=0, flag="--port", commands=("serve",),
+                       help="0 picks a free port")
+    serve_timeout: float = _field(3600.0, "execution", float, gt=0, flag="--timeout",
+                                  commands=("serve",), metavar="SECONDS")
+    heartbeat_timeout: float | None = _field(
+        30.0, "execution", float, gt=0, flag="--heartbeat-timeout",
+        commands=("serve",), metavar="SECONDS",
+        help="declare a silent client hung after this long (0 disables)")
 
-    # fault tolerance
-    checkpoint: str | Path | CheckpointManager | None = None
-    resume: bool = False
-    task_deadline: float | None = None
-    max_retries: int = 2
-    compress: bool = False
-    retain_task_tallies: bool = True
+    checkpoint: str | Path | CheckpointManager | None = _field(
+        None, "execution", flag="--checkpoint", commands=("run", "serve"),
+        type=str, metavar="DIR",
+        help="persist completed tasks to DIR so the run can be resumed")
+    resume: bool = _field(
+        False, "execution", bool, flag="--resume", commands=("run", "serve"),
+        help="continue from an existing checkpoint in --checkpoint DIR")
+    task_deadline: float | None = _field(
+        None, "execution", float, gt=0, flag="--task-deadline",
+        commands=("run", "serve"), metavar="SECONDS",
+        help="speculatively re-dispatch tasks in flight longer than this")
+    max_retries: int = _field(2, "execution", int, ge=0)
+    compress: bool = _field(
+        False, "execution", bool, flag="--compress", commands=("run", "serve"),
+        help="offer zlib frame compression to TCP clients (negotiated per "
+             "connection; a purely local run has no wire and ignores it)")
+    retain_task_tallies: bool = _field(
+        True, "execution", bool, wire=True, flag="--no-retain-task-tallies",
+        commands=("run", "serve"),
+        help="drop per-task tallies once folded into the reduction (bounds "
+             "memory; task results carry metadata only)")
+    span_size: int | None = _field(
+        None, "execution", int, ge=1, flag="--span-size", commands=("run", "serve"),
+        metavar="N", help="fold up to N tasks worker-side into one tree-aligned "
+        "span per dispatch (rounded down to a power of two; bit-identical to "
+        "per-task dispatch)")
+    sub_batch: int | None = _field(
+        None, "execution", int, ge=1, unjournalable=True, changes_bits=True,
+        flag="--sub-batch", commands=("run", "serve"), metavar="N",
+        help="vectorized-kernel sub-batch override (execution tuning; results "
+        "differ bit-for-bit across values but are statistically equivalent, "
+        "so it never enters the fingerprint)")
+    capture_paths: bool = _field(
+        False, "execution", bool, wire=True, flag="--capture-paths",
+        help="record per-detected-photon per-layer pathlengths into the tally "
+        "(and --save archive) so 'perturb sweep' can derive perturbed tallies "
+        "without re-simulating (no RNG draws; every other field bit-identical)")
 
-    # coordinator-throughput / kernel tuning (execution-only knobs)
-    span_size: int | None = None
-    sub_batch: int | None = None
-    #: Record per-detected-photon path records onto ``tally.paths`` — the
-    #: raw material for :mod:`repro.perturb` reweighting.  Execution-only:
-    #: capture adds no RNG draws, every other tally field is bit-identical
-    #: with or without it, so it does NOT enter the request fingerprint.
-    #: Works in both modes (the flag ships with every ``TaskSpec``).
-    capture_paths: bool = False
-
-    # prefix extension / partial-range runs
-    #: Run only tasks ``[start, stop)`` of the canonical decomposition.  The
-    #: tally is the deterministic partial fold of that range; *physics-
-    #: bearing* (a partial tally is a different result), so it participates
-    #: in the request fingerprint.
-    task_range: tuple[int, int] | None = None
+    task_range: tuple[int, int] | None = _field(
+        None, "budget", int, ge=0, pair=True, wire=True, flag="--task-range",
+        metavar=("LO", "HI"), help="simulate only tasks [LO, HI) of the "
+        "decomposition (a partial tally; fingerprinted separately)")
     #: A :class:`~repro.core.reduce.TallyFrontier` from a cached smaller-
     #: budget run of the same physics; its covered tasks are primed into the
-    #: reducer and not re-simulated (the delta run).  Execution-only: the
-    #: final tally is bit-identical with or without it, so it does NOT enter
-    #: the fingerprint.
-    frontier: "TallyFrontier | None" = None
-    #: Capture the run's reduction frontier onto ``RunReport.frontier`` so
-    #: the result can later be budget-extended.  Execution-only.
-    capture_frontier: bool = False
+    #: reducer and not re-simulated.  The final tally is bit-identical.
+    frontier: "TallyFrontier | None" = _field(None, "execution", unjournalable=True)
+    capture_frontier: bool = _field(
+        False, "execution", bool, unjournalable=True, flag="--capture-frontier",
+        help="store the reducer's span partials in --save so the archive can "
+        "later seed a larger-budget run")
 
     # model-building conveniences (ignored when ``config`` is given)
-    detector_spacing: float | None = None
-    gate: tuple[float, float] | None = None
-    boundary_mode: str = "probabilistic"
-    records: RecordConfig | None = None
+    detector_spacing: float | None = _field(
+        None, "physics", float, ge=0, wire=True, flag="--detector-spacing",
+        metavar="MM", help="annular detector at this source spacing "
+        "(default: accept all)")
+    gate: tuple[float, float] | None = _field(
+        None, "physics", float, ge=0, pair=True, wire=True, flag="--gate",
+        metavar=("L_MIN", "L_MAX"), help="pathlength gate in mm")
+    boundary_mode: str = _field("probabilistic", "physics",
+                                ("probabilistic", "classical"), wire=True,
+                                flag="--boundary-mode")
+    records: RecordConfig | None = _field(None, "physics", unjournalable=True)
 
-    # observability
-    telemetry: Telemetry | None = None
-    metrics_path: str | Path | None = None
-    progress: bool | ProgressReporter = False
-
+    telemetry: Telemetry | None = _field(None, "observability")
+    metrics_path: str | Path | None = _field(
+        None, "observability", flag="--metrics", commands=("run", "serve"),
+        type=str, metavar="FILE.jsonl",
+        help="write structured telemetry events (spans, counters, progress) "
+        "to this JSONL file")
+    progress: bool | ProgressReporter = _field(
+        False, "observability", flag="--progress", commands=("run", "serve"),
+        action="store_true", help="live progress bar on stderr")
     #: Called with the live :class:`NetworkServer` right after it binds in
     #: ``mode="serve"`` (e.g. to announce the chosen port); ignored otherwise.
-    on_server_start: Callable[[NetworkServer], None] | None = None
+    on_server_start: Callable[[NetworkServer], None] | None = _field(
+        None, "observability")
 
     def __post_init__(self) -> None:
+        for name, meta in SCHEMA.items():
+            _check(name, getattr(self, name), meta)
         if (self.config is None) == (self.model is None):
             raise ValueError("set exactly one of RunRequest.config or RunRequest.model")
-        if self.model is not None and self.model not in _MODELS:
-            raise ValueError(f"unknown model {self.model!r}; choose from {_MODELS}")
-        if self.mode not in ("local", "serve"):
-            raise ValueError(f"mode must be 'local' or 'serve', got {self.mode!r}")
-        if self.workers <= 0:
-            raise ValueError(f"workers must be > 0, got {self.workers}")
+        if self.model is not None:
+            # e.g. a detector_spacing so large that the +-1 mm annulus rounds
+            # away: refused here, not when the request is first fingerprinted.
+            build_config(self)
         if self.resume and self.checkpoint is None:
             raise ValueError("resume=True requires a checkpoint directory")
-        if self.span_size is not None and self.span_size < 1:
-            raise ValueError(f"span_size must be >= 1 or None, got {self.span_size}")
-        if self.sub_batch is not None and self.sub_batch <= 0:
-            raise ValueError(f"sub_batch must be > 0 or None, got {self.sub_batch}")
         if self.task_range is not None:
             lo, hi = self.task_range
             n_tasks = -(-self.n_photons // self.resolved_task_size())
-            if not 0 <= lo < hi <= n_tasks:
+            if hi > n_tasks:
                 raise ValueError(
                     f"task_range [{lo}, {hi}) out of range for the "
                     f"{n_tasks}-task decomposition of {self.n_photons} photons"
@@ -239,6 +325,15 @@ class RunRequest:
         if self.task_range is not None:
             out["task_range"] = [int(self.task_range[0]), int(self.task_range[1])]
         return out
+
+
+#: The request schema: every :class:`RunRequest` field's metadata and
+#: ``default``, by name; a field is ``nullable`` when its annotation admits
+#: ``None``.
+SCHEMA = {
+    f.name: {**f.metadata, "default": f.default, "nullable": "None" in f.type}
+    for f in fields(RunRequest)
+}
 
 
 def build_config(request: RunRequest) -> SimulationConfig:

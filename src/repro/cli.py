@@ -27,7 +27,48 @@ import numpy as np
 
 __all__ = ["main", "build_parser"]
 
-_MODELS = ("white_matter", "adult_head", "neonatal_head")
+
+def _add_request_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    """One flag per :data:`repro.api.SCHEMA` row that ``command`` exposes."""
+    from .api import SCHEMA
+
+    for name, meta in SCHEMA.items():
+        cli = dict(meta.get("cli", {}))
+        if command not in cli.pop("commands", ()):
+            continue
+        kind, default = meta["kind"], cli.pop("default", meta["default"])
+        kwargs = dict(dest=name, default=cli.pop("defaults", {}).get(command, default))
+        if kind is bool:
+            kwargs["action"] = "store_false" if meta["default"] else "store_true"
+        elif isinstance(kind, tuple):
+            kwargs["choices"] = kind
+        elif kind in (int, float):
+            kwargs.update(type=kind, nargs=2 if meta["pair"] else None)
+        parser.add_argument(cli.pop("flag"), **kwargs, **cli)
+
+
+def _request_from_args(args, **overrides):
+    """The :class:`~repro.api.RunRequest` a command's flags describe.
+
+    ``--checkpoint``/``--resume`` go through
+    :func:`repro.api.resolve_checkpoint`; its refusals are rephrased in
+    terms of the flags the user actually typed.
+    """
+    from .api import SCHEMA, RunRequest, resolve_checkpoint
+
+    values = {
+        name: tuple(value) if isinstance(value, list) else value
+        for name, value in vars(args).items()
+        if name in SCHEMA
+    }
+    if args.resume and not args.checkpoint:
+        raise SystemExit("--resume requires --checkpoint DIR")
+    try:
+        values["checkpoint"] = resolve_checkpoint(args.checkpoint or None, args.resume)
+    except ValueError:
+        raise SystemExit(f"checkpoint {args.checkpoint} already exists; "
+                         "pass --resume to continue that run") from None
+    return RunRequest(**{**values, **overrides})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,69 +80,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a simulation and print the tally summary")
-    run.add_argument("--model", choices=_MODELS, default="adult_head")
-    run.add_argument("--photons", type=int, default=20_000)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--kernel", choices=("vector", "scalar"), default="vector")
-    run.add_argument(
-        "--boundary-mode", choices=("probabilistic", "classical"), default="probabilistic"
-    )
-    run.add_argument("--detector-spacing", type=float, default=None, metavar="MM",
-                     help="annular detector at this source spacing (default: accept all)")
-    run.add_argument("--gate", type=float, nargs=2, default=None, metavar=("L_MIN", "L_MAX"),
-                     help="pathlength gate in mm")
-    run.add_argument("--workers", type=int, default=1,
-                     help="run distributed on this many local workers")
-    run.add_argument("--backend", choices=("auto", "serial", "thread", "process"),
-                     default="auto",
-                     help="execution backend (auto: serial for 1 worker, "
-                     "process pool otherwise)")
-    run.add_argument("--task-size", type=int, default=10_000)
-    run.add_argument("--span-size", type=int, default=None, metavar="N",
-                     help="fold up to N tasks worker-side into one tree-aligned "
-                          "span per dispatch (rounded down to a power of two; "
-                          "bit-identical to per-task dispatch)")
-    run.add_argument("--sub-batch", type=int, default=None, metavar="N",
-                     help="vectorized-kernel sub-batch override (execution "
-                          "tuning; results differ bit-for-bit across values "
-                          "but are statistically equivalent)")
-    run.add_argument("--task-range", type=int, nargs=2, default=None,
-                     metavar=("LO", "HI"),
-                     help="simulate only tasks [LO, HI) of the decomposition "
-                          "(a partial tally; fingerprinted separately)")
-    run.add_argument("--capture-frontier", action="store_true",
-                     help="store the reducer's span partials in --save so the "
-                          "archive can later seed a larger-budget run")
-    run.add_argument("--capture-paths", action="store_true",
-                     help="record per-detected-photon per-layer pathlengths "
-                          "into the tally (and --save archive) so 'perturb "
-                          "sweep' can derive perturbed tallies without "
-                          "re-simulating")
+    _add_request_flags(run, "run")
     run.add_argument("--extend-from", type=str, default=None, metavar="FILE.npz",
                      help="prime this run with the frontier saved in a "
                           "smaller-budget archive of the same physics and "
                           "simulate only the missing tasks (bit-identical to "
                           "a from-scratch run; implies --capture-frontier)")
     run.add_argument("--save", type=str, default=None, metavar="FILE.npz")
-    run.add_argument("--metrics", type=str, default=None, metavar="FILE.jsonl",
-                     help="write structured telemetry events (spans, counters, "
-                     "progress) to this JSONL file")
-    run.add_argument("--progress", action="store_true",
-                     help="live progress bar on stderr")
-    run.add_argument("--checkpoint", type=str, default=None, metavar="DIR",
-                     help="persist completed tasks to DIR so the run can be resumed")
-    run.add_argument("--resume", action="store_true",
-                     help="continue from an existing checkpoint in --checkpoint DIR")
-    run.add_argument("--task-deadline", type=float, default=None, metavar="SECONDS",
-                     help="speculatively re-dispatch tasks in flight longer than this")
-    run.add_argument("--no-retain-task-tallies", dest="retain_task_tallies",
-                     action="store_false",
-                     help="drop per-task tallies once folded into the reduction "
-                          "(bounds memory; task results carry metadata only)")
-    run.add_argument("--compress", action="store_true",
-                     help="offer zlib frame compression on the task wire "
-                          "(meaningful when the run involves TCP clients; "
-                          "a purely local run has no wire and ignores it)")
 
     banana = sub.add_parser("banana", help="Fig. 3: banana sensitivity profile")
     banana.add_argument("--photons", type=int, default=40_000)
@@ -131,40 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="run the DataManager as a TCP server (clients connect with 'client')"
     )
-    serve.add_argument("--model", choices=_MODELS, default="adult_head")
-    serve.add_argument("--photons", type=int, default=100_000)
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--task-size", type=int, default=10_000)
-    serve.add_argument("--span-size", type=int, default=None, metavar="N",
-                       help="dispatch tree-aligned spans of up to N tasks; each "
-                            "client folds its span and returns one partial "
-                            "(bit-identical, ~N× fewer coordinator merges)")
-    serve.add_argument("--sub-batch", type=int, default=None, metavar="N",
-                       help="vectorized-kernel sub-batch override shipped with "
-                            "every task")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=0, help="0 picks a free port")
-    serve.add_argument("--timeout", type=float, default=3600.0)
-    serve.add_argument("--checkpoint", type=str, default=None, metavar="DIR",
-                       help="persist completed tasks to DIR so the run can be resumed")
-    serve.add_argument("--resume", action="store_true",
-                       help="continue from an existing checkpoint in --checkpoint DIR")
-    serve.add_argument("--task-deadline", type=float, default=None, metavar="SECONDS",
-                       help="speculatively re-dispatch tasks in flight longer than this")
-    serve.add_argument("--heartbeat-timeout", type=float, default=30.0,
-                       metavar="SECONDS",
-                       help="declare a silent client hung after this long (0 disables)")
-    serve.add_argument("--compress", action="store_true",
-                       help="offer zlib frame compression to clients "
-                            "(negotiated per connection)")
-    serve.add_argument("--no-retain-task-tallies", dest="retain_task_tallies",
-                       action="store_false",
-                       help="drop per-task tallies once folded into the reduction "
-                            "(bounds server memory on long campaigns)")
-    serve.add_argument("--metrics", type=str, default=None, metavar="FILE.jsonl",
-                       help="write structured telemetry events to this JSONL file")
-    serve.add_argument("--progress", action="store_true",
-                       help="live progress bar on stderr")
+    _add_request_flags(serve, "serve")
 
     serve_http = sub.add_parser(
         "serve-http",
@@ -263,30 +215,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _checkpoint_from_args(args):
-    """Build the CheckpointManager requested by --checkpoint/--resume.
-
-    The rules live in :func:`repro.api.resolve_checkpoint` (which the
-    facade re-applies); this wrapper only rephrases failures in terms of
-    the flags the user actually typed.
-    """
-    from .api import resolve_checkpoint
-
-    try:
-        return resolve_checkpoint(args.checkpoint or None, args.resume)
-    except ValueError:
-        if args.resume and not args.checkpoint:
-            raise SystemExit("--resume requires --checkpoint DIR") from None
-        raise SystemExit(
-            f"checkpoint {args.checkpoint} already exists; "
-            "pass --resume to continue that run"
-        ) from None
-
-
-def _print_metrics_block(report) -> None:
-    """Render RunReport.metrics (counters/gauges) as a final summary table."""
+def _print_report(report, metrics_path) -> None:
+    """The tally summary, then RunReport.metrics (counters/gauges) as a table."""
     from .io import format_table
 
+    rows = [[k, v] for k, v in report.tally.summary().items()]
+    print(format_table(["quantity", "value"], rows, float_format="{:.6g}"))
     metrics = report.metrics or {}
     rows = []
     for kind in ("counters", "gauges"):
@@ -299,44 +233,18 @@ def _print_metrics_block(report) -> None:
             rows.append([f"{row['name']} (mean)", labels, row["mean"]])
     if rows:
         print(format_table(["metric", "labels", "value"], rows, float_format="{:.6g}"))
-
-
-def _stack_for(model: str):
-    from .tissue import adult_head, neonatal_head, white_matter
-
-    return {"white_matter": white_matter, "adult_head": adult_head,
-            "neonatal_head": neonatal_head}[model]()
+    if metrics_path:
+        print(f"# telemetry events written to {metrics_path}")
 
 
 def _cmd_run(args) -> int:
-    from .api import RunRequest, run
-    from .io import format_table, save_tally
+    from .api import run
+    from .io import save_tally
 
-    checkpoint = _checkpoint_from_args(args)
-    request = RunRequest(
-        model=args.model,
-        n_photons=args.photons,
-        seed=args.seed,
-        kernel=args.kernel,
-        task_size=args.task_size,
-        workers=args.workers,
-        backend=args.backend,
-        checkpoint=checkpoint,
-        resume=args.resume,
-        task_deadline=args.task_deadline,
-        compress=args.compress,
-        retain_task_tallies=args.retain_task_tallies,
-        span_size=args.span_size,
-        sub_batch=args.sub_batch,
-        detector_spacing=args.detector_spacing,
-        gate=tuple(args.gate) if args.gate else None,
-        boundary_mode=args.boundary_mode,
-        metrics_path=args.metrics,
-        progress=args.progress,
-        task_range=tuple(args.task_range) if args.task_range else None,
-        capture_frontier=args.capture_frontier or bool(args.extend_from),
-        capture_paths=args.capture_paths,
+    request = _request_from_args(
+        args, capture_frontier=args.capture_frontier or bool(args.extend_from)
     )
+    checkpoint = request.checkpoint
     if args.extend_from:
         request = _extend_from(request, args.extend_from)
     report = run(request)
@@ -351,12 +259,7 @@ def _cmd_run(args) -> int:
             print(f"# checkpoint: {checkpoint.directory} "
                   f"({len(checkpoint.completed_indices())} tasks recorded)")
 
-    rows = [[k, v] for k, v in tally.summary().items()]
-    print(format_table(["quantity", "value"], rows, float_format="{:.6g}"))
-    if report.metrics:
-        _print_metrics_block(report)
-    if args.metrics:
-        print(f"# telemetry events written to {args.metrics}")
+    _print_report(report, args.metrics_path)
     if args.save:
         frontier = report.frontier
         path = save_tally(
@@ -508,49 +411,21 @@ def _cmd_table2(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from .api import RunRequest, run
-    from .core import SimulationConfig
-    from .io import format_table
-    from .sources import PencilBeam
-
-    checkpoint = _checkpoint_from_args(args)
+    from .api import run
 
     def announce(server) -> None:
         print(f"# DataManager listening on {args.host}:{server.port} "
-              f"({args.photons:,} photons in {args.task_size:,}-photon tasks)")
+              f"({args.n_photons:,} photons in {args.task_size:,}-photon tasks)")
         print(f"# start workers with: tissue-mc client --port {server.port}")
 
-    request = RunRequest(
-        config=SimulationConfig(stack=_stack_for(args.model), source=PencilBeam()),
-        n_photons=args.photons,
-        seed=args.seed,
-        task_size=args.task_size,
-        mode="serve",
-        host=args.host,
-        port=args.port,
-        serve_timeout=args.timeout,
-        heartbeat_timeout=args.heartbeat_timeout or None,
-        checkpoint=checkpoint,
-        resume=args.resume,
-        task_deadline=args.task_deadline,
-        compress=args.compress,
-        retain_task_tallies=args.retain_task_tallies,
-        span_size=args.span_size,
-        sub_batch=args.sub_batch,
-        metrics_path=args.metrics,
-        progress=args.progress,
+    report = run(_request_from_args(
+        args, mode="serve", heartbeat_timeout=args.heartbeat_timeout or None,
         on_server_start=announce,
-    )
-    report = run(request)
+    ))
     print(f"# complete: {report.n_tasks} tasks in {report.wall_seconds:.1f}s, "
           f"{report.retries} retries, "
           f"{report.speculative_duplicates} speculative duplicates")
-    rows = [[k, v] for k, v in report.tally.summary().items()]
-    print(format_table(["quantity", "value"], rows, float_format="{:.6g}"))
-    if report.metrics:
-        _print_metrics_block(report)
-    if args.metrics:
-        print(f"# telemetry events written to {args.metrics}")
+    _print_report(report, args.metrics_path)
     return 0
 
 
@@ -771,19 +646,7 @@ def _cmd_perturb(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "banana": _cmd_banana,
-        "head": _cmd_head,
-        "speedup": _cmd_speedup,
-        "table2": _cmd_table2,
-        "serve": _cmd_serve,
-        "serve-http": _cmd_serve_http,
-        "client": _cmd_client,
-        "fit": _cmd_fit,
-        "perturb": _cmd_perturb,
-    }
-    return handlers[args.command](args)
+    return globals()[f"_cmd_{args.command.replace('-', '_')}"](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -17,7 +17,7 @@ from .reduce import (
     reduce_all,
     span_level,
 )
-from .rng import StreamFactory, spawn_rngs, task_rng
+from .rng import task_rng
 from .roulette import RouletteConfig, roulette
 from .sampling import (
     hg_pdf,
@@ -39,7 +39,6 @@ __all__ = [
     "Simulation",
     "SimulationConfig",
     "SpanFolder",
-    "StreamFactory",
     "Tally",
     "TallyFrontier",
     "aligned_spans",
@@ -58,7 +57,6 @@ __all__ = [
     "sample_hg_cosine",
     "sample_step_length",
     "span_level",
-    "spawn_rngs",
     "specular_reflectance",
     "split_photons",
     "task_rng",

@@ -92,16 +92,18 @@ class SlabGeometry:
         return layer
 
     def distance(self, st) -> np.ndarray:
+        # Whole-array form (the loop calls this every iteration, so the
+        # NumPy call count is its cost): the bottom face for photons going
+        # down, the top face otherwise, and no face for uz == 0.
         boundaries = self.boundaries
-        d_bnd = np.full(st.size, np.inf)
-        up = st.uz < 0.0
-        down = st.uz > 0.0
+        uz = st.uz
         if self.single_layer:
-            d_bnd[down] = (boundaries[1] - st.z[down]) / st.uz[down]
-            d_bnd[up] = (boundaries[0] - st.z[up]) / st.uz[up]
+            top, bottom = boundaries[0], boundaries[1]
         else:
-            d_bnd[down] = (boundaries[st.layer[down] + 1] - st.z[down]) / st.uz[down]
-            d_bnd[up] = (boundaries[st.layer[up]] - st.z[up]) / st.uz[up]
+            top, bottom = boundaries[st.layer], boundaries[st.layer + 1]
+        d_bnd = np.empty(uz.size)
+        d_bnd.fill(np.inf)
+        np.divide(np.where(uz > 0.0, bottom, top) - st.z, uz, out=d_bnd, where=uz != 0.0)
         return d_bnd
 
     def cross(self, batch, bi: np.ndarray) -> None:
@@ -115,7 +117,7 @@ class SlabGeometry:
         )
 
         n_here = self.n[blay]
-        next_lay = np.clip(blay + np.where(going_up, -1, 1), 0, n_layers - 1)
+        next_lay = np.minimum(np.maximum(blay + np.where(going_up, -1, 1), 0), n_layers - 1)
         n_next = np.where(
             exiting,
             np.where(going_up, self.n_above, self.n_below),
@@ -130,7 +132,7 @@ class SlabGeometry:
         else:
             classical_exit = np.zeros_like(exiting)
 
-        if np.any(classical_exit):
+        if np.count_nonzero(classical_exit):
             ce = bi[classical_exit]
             r_ce = r_f[classical_exit]
             escaped = (1.0 - r_ce) * st.w[ce]
@@ -138,12 +140,12 @@ class SlabGeometry:
             st.w[ce] *= r_ce
             st.uz[ce] = -st.uz[ce]
             dead = st.w[ce] <= 0.0
-            if np.any(dead):
+            if np.count_nonzero(dead):
                 st.alive[ce[dead]] = False
                 batch.tally.record_penetration(st.maxz[ce[dead]])
 
         rest = ~classical_exit
-        if not np.any(rest):
+        if not np.count_nonzero(rest):
             return
         ri = bi[rest]
         r_rest = r_f[rest]
@@ -162,7 +164,7 @@ class SlabGeometry:
         transmit = ~reflect
         # Transmission out of the tissue: score and terminate.
         out = transmit & exit_rest
-        if np.any(out):
+        if np.count_nonzero(out):
             oi = ri[out]
             batch.score_escapes(oi, up_rest[out], st.w[oi], terminal=True)
             st.alive[oi] = False
@@ -170,7 +172,7 @@ class SlabGeometry:
 
         # Transmission into the adjacent layer: Snell refraction.
         inside = transmit & ~exit_rest
-        if np.any(inside):
+        if np.count_nonzero(inside):
             si = ri[inside]
             ratio = n1[inside] / n2[inside]
             ci = np.abs(st.uz[si])

@@ -20,15 +20,9 @@ choice for parallel Monte Carlo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = [
-    "StreamFactory",
-    "task_rng",
-    "spawn_rngs",
-]
+__all__ = ["task_rng"]
 
 #: Bit generator used everywhere.  Philox is counter-based: streams keyed by
 #: distinct SeedSequences never overlap, and generation order inside a stream
@@ -53,38 +47,3 @@ def task_rng(experiment_seed: int, task_index: int) -> np.random.Generator:
         raise ValueError(f"task_index must be >= 0, got {task_index}")
     ss = np.random.SeedSequence(entropy=experiment_seed, spawn_key=(task_index,))
     return np.random.Generator(_BITGEN(ss))
-
-
-def spawn_rngs(experiment_seed: int, n_tasks: int) -> list[np.random.Generator]:
-    """Return independent generators for ``n_tasks`` tasks (see :func:`task_rng`)."""
-    if n_tasks < 0:
-        raise ValueError(f"n_tasks must be >= 0, got {n_tasks}")
-    return [task_rng(experiment_seed, i) for i in range(n_tasks)]
-
-
-@dataclass(frozen=True)
-class StreamFactory:
-    """Factory handing out per-task random streams for one experiment.
-
-    A ``StreamFactory`` is cheap, picklable and immutable, so the
-    ``DataManager`` can embed one in every task description it ships to a
-    worker; the worker then materialises the actual generator locally.
-
-    Examples
-    --------
-    >>> f = StreamFactory(seed=42)
-    >>> g0 = f.for_task(0)
-    >>> g0_again = StreamFactory(seed=42).for_task(0)
-    >>> g0.random() == g0_again.random()
-    True
-    """
-
-    seed: int
-
-    def for_task(self, task_index: int) -> np.random.Generator:
-        """Generator for task ``task_index`` (stable across processes)."""
-        return task_rng(self.seed, task_index)
-
-    def spawn(self, n_tasks: int) -> list[np.random.Generator]:
-        """Generators for tasks ``0 .. n_tasks-1``."""
-        return spawn_rngs(self.seed, n_tasks)

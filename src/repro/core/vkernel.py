@@ -281,9 +281,9 @@ class _Batch:
         if terminal:
             tally.record_penetration(st.maxz[idx])
         down = ~going_up
-        if np.any(down):
+        if np.count_nonzero(down):
             tally.transmittance_weight += float(ew[down].sum())
-        if not np.any(going_up):
+        if not np.count_nonzero(going_up):
             return
 
         ti = idx[going_up]
@@ -297,7 +297,7 @@ class _Batch:
         accepted = self.detector.accepts(tx, ty, tuz)
         if self.gate is not None:
             accepted &= self.gate.accepts(topl)
-        if not np.any(accepted):
+        if not np.count_nonzero(accepted):
             return
 
         tally.detected_count += int(accepted.sum())
@@ -411,8 +411,8 @@ def _run_sub_batch(
         np.maximum(st.s_dim, 0.0, out=st.s_dim)
 
         hit &= st.alive
-        bi = np.flatnonzero(hit)  # photons at a boundary
-        ii = np.flatnonzero(hit != st.alive)  # alive & ~hit: interaction sites
+        bi = hit.nonzero()[0]  # photons at a boundary
+        ii = (hit != st.alive).nonzero()[0]  # alive & ~hit: interaction sites
 
         if bi.size:
             geometry.cross(batch, bi)
@@ -475,9 +475,12 @@ def _handle_interactions(
     """Drop (absorb) and spin (scatter) photons at interaction sites.
 
     This runs every loop iteration and dominates the per-iteration constant,
-    so it avoids helper-function dispatch: the Henyey–Greenstein draw and the
-    direction rotation are inlined with fast paths for the common case of a
-    single region / uniform anisotropy.  The maths is identical to
+    so it avoids helper-function dispatch — NumPy's Python-level wrappers
+    such as ``np.clip`` and ``np.any`` included, which cost more than the
+    arithmetic on a batch's tail of a few photons.  The Henyey–Greenstein
+    draw and the direction rotation are inlined with fast paths for the
+    common case of a single region / uniform anisotropy.  The maths is
+    identical to
     :func:`repro.core.sampling.sample_hg_cosine` and
     :func:`repro.core.sampling.rotate_direction` (cross-checked in tests).
     """
@@ -516,7 +519,7 @@ def _handle_interactions(
         else:
             frac = (1.0 - g * g) / (1.0 - g + 2.0 * g * xi)
             cos_theta = (1.0 + g * g - frac * frac) / (2.0 * g)
-            np.clip(cos_theta, -1.0, 1.0, out=cos_theta)
+            np.minimum(np.maximum(cos_theta, -1.0, out=cos_theta), 1.0, out=cos_theta)
     else:
         g = g_vec[st.layer[ii]]
         frac = (1.0 - g * g) / (1.0 - g + 2.0 * g * xi)
@@ -525,7 +528,7 @@ def _handle_interactions(
         iso = np.abs(g) < 1e-12
         if iso.any():
             cos_theta[iso] = 2.0 * xi[iso] - 1.0
-        np.clip(cos_theta, -1.0, 1.0, out=cos_theta)
+        np.minimum(np.maximum(cos_theta, -1.0, out=cos_theta), 1.0, out=cos_theta)
     psi = rng.random(m)
     psi *= 2.0 * np.pi
 
@@ -541,7 +544,7 @@ def _handle_interactions(
     nuy = (uy * uz * sc + ux * ss) / denom + uy * cos_theta
     nuz = -denom * sc + uz * cos_theta
     vertical = uz2 >= _VERTICAL_EPS2
-    if vertical.any():
+    if np.count_nonzero(vertical):
         sign = np.sign(uz[vertical])
         nux[vertical] = sc[vertical]
         nuy[vertical] = sign * ss[vertical]
@@ -553,7 +556,7 @@ def _handle_interactions(
 
     # --- if weight too small: survive roulette ----------------------------------
     small = wi < config.roulette.threshold
-    if small.any():
+    if np.count_nonzero(small):
         cand = ii[small]
         survive = rng.random(cand.size) < (1.0 / config.roulette.boost)
         winners = cand[survive]

@@ -3,7 +3,6 @@
 from .detector import AcceptAll, AnnularDetector, Detector, DiscDetector
 from .gating import PathlengthGate, TimeGate, open_gate
 from .quantities import (
-    differential_pathlength_factor,
     layer_absorption_report,
     mean_time_of_flight,
     radial_reflectance,
@@ -22,7 +21,6 @@ __all__ = [
     "PathlengthGate",
     "RunningStat",
     "TimeGate",
-    "differential_pathlength_factor",
     "layer_absorption_report",
     "mean_time_of_flight",
     "open_gate",

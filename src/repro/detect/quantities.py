@@ -2,8 +2,9 @@
 
 Helpers that turn raw tally weights into the quantities the NIRS literature
 (and the paper's discussion) works with: radially resolved diffuse
-reflectance R(rho), differential pathlength factors, mean time of flight and
-layer-wise absorption summaries.
+reflectance R(rho), mean time of flight and layer-wise absorption
+summaries.  The differential pathlength factor is
+:meth:`~repro.core.tally.Tally.differential_pathlength_factor`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ if TYPE_CHECKING:  # imported lazily to avoid a core <-> detect import cycle
 __all__ = [
     "radial_reflectance",
     "mean_time_of_flight",
-    "differential_pathlength_factor",
     "layer_absorption_report",
 ]
 
@@ -56,16 +56,6 @@ def mean_time_of_flight(tally: Tally) -> float:
     time of flight is pathlength / c_vacuum.
     """
     return tally.pathlength.mean / SPEED_OF_LIGHT_MM_PER_NS
-
-
-def differential_pathlength_factor(tally: Tally, spacing: float) -> float:
-    """DPF: mean detected pathlength over source–detector spacing.
-
-    The paper (§1): "This distance, known as the differential pathlength, is
-    needed to quantify absorption and scattering coefficients and
-    consequently chromophore concentrations."
-    """
-    return tally.differential_pathlength_factor(spacing)
 
 
 def layer_absorption_report(tally: Tally, stack: LayerStack) -> list[dict[str, float | str]]:

@@ -8,7 +8,6 @@ from .backends import (
     ThreadBackend,
     make_backend,
 )
-from .campaign import Campaign, Experiment
 from .checkpoint import CheckpointError, CheckpointManager, run_key
 from .datamanager import DataManager, RunReport, TaskFailedError
 from .faults import FaultInjector, WorkerCrash
@@ -39,11 +38,9 @@ __all__ = [
     "Attempt",
     "BACKEND_NAMES",
     "Backend",
-    "Campaign",
     "CheckpointError",
     "CheckpointManager",
     "DataManager",
-    "Experiment",
     "FaultInjector",
     "MultiprocessingBackend",
     "NetworkServer",

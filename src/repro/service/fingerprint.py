@@ -8,11 +8,10 @@ guaranteed to produce bit-identical tallies.  This module turns that
 guarantee into an address.  :func:`request_fingerprint` hashes a *canonical*
 form of the request in which
 
-* only physics-bearing fields participate (``workers``, ``backend``,
-  ``mode``, checkpointing, telemetry, compression, ``span_size``,
-  ``sub_batch``, … are excluded — execution-only knobs: ``span_size``
-  cannot change the tally at all, and ``sub_batch`` yields statistically
-  equivalent tallies, so neither may split the cache address);
+* only the fields the request schema (:data:`repro.api.SCHEMA`) gives the
+  ``physics`` or ``budget`` role participate; execution and observability
+  fields never split the cache address (``sub_batch``, marked
+  ``changes_bits`` there, yields statistically equivalent tallies);
 * defaults are materialized (``task_size=None`` and
   ``task_size=DEFAULT_TASK_SIZE`` collide; a ``model`` name and the
   explicit :class:`~repro.core.SimulationConfig` it builds collide);

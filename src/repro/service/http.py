@@ -5,11 +5,10 @@ behind ``http.server.ThreadingHTTPServer`` — no framework, no third-party
 dependency, in keeping with the repo's stdlib+numpy discipline.  The API:
 
 ``POST /v2/runs``
-    Submit a run.  Body: a JSON object with the physics fields of a
-    :class:`~repro.api.RunRequest` (``model``, ``n_photons``, ``seed``,
-    ``kernel``, ``task_size``, ``detector_spacing``, ``gate``,
-    ``boundary_mode``) plus local execution knobs (``workers``,
-    ``backend``, ``retain_task_tallies``, ``capture_paths``).  Optional
+    Submit a run.  Body: a JSON object setting the fields of a
+    :class:`~repro.api.RunRequest` that the request schema
+    (:data:`repro.api.SCHEMA`) marks ``wire``; any other key, and any
+    value of the wrong type or range, is a ``400 bad_request``.  Optional
     headers: ``X-Priority: high|normal|low`` (queue class) and
     ``X-Client`` (admission-control identity; defaults to the peer
     address).  Returns ``200`` with the job status when the result was
@@ -55,73 +54,49 @@ Responses are JSON except for the archive endpoint
 from __future__ import annotations
 
 import json
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from ..api import RunRequest
+from ..api import SCHEMA, RunRequest
 from .admission import AdmissionController
 from .jobs import JobManager, JobState, PRIORITIES
 
 __all__ = ["ServiceServer", "request_from_json", "request_to_json"]
 
-#: RunRequest fields a remote caller may set.  Everything else — mode,
-#: host/port, checkpointing, telemetry, callbacks — is the server's
-#: business, not the wire's.
-_REQUEST_FIELDS = frozenset({
-    "model",
-    "n_photons",
-    "seed",
-    "kernel",
-    "task_size",
-    "workers",
-    "backend",
-    "detector_spacing",
-    "gate",
-    "boundary_mode",
-    "retain_task_tallies",
-    "task_range",
-    "capture_paths",
-})
+#: RunRequest fields a remote caller may set (the schema's ``wire`` rows).
+#: Everything else — mode, host/port, checkpointing, telemetry, callbacks —
+#: is the server's business, not the wire's.
+_WIRE = {name: meta for name, meta in SCHEMA.items() if meta["wire"]}
+#: Fields whose non-default value the journal cannot replay, with defaults.
+_UNJOURNALABLE = {n: m["default"] for n, m in SCHEMA.items() if m["unjournalable"]}
+
+
+def _from_wire(meta, value):
+    """A JSON value as its field's type: arrays become tuples, and a float
+    field takes a JSON integer as the equal float."""
+    if isinstance(value, list):  # one level deep: a pair's two ends
+        return tuple(v if isinstance(v, list) else _from_wire(meta, v) for v in value)
+    if meta["kind"] is float and type(value) is int and abs(value) <= sys.float_info.max:
+        return float(value)
+    return value
 
 
 def request_from_json(payload: object) -> RunRequest:
     """Build a :class:`RunRequest` from an untrusted JSON body.
 
-    Only whitelisted fields are accepted (unknown keys are a hard error so
-    typos fail loudly instead of silently simulating the wrong thing), and
-    the resulting request is validated by ``RunRequest`` itself.
+    Only wire fields are accepted (unknown keys are a hard error so typos
+    fail loudly instead of silently simulating the wrong thing), and every
+    value is type- and range-checked by ``RunRequest`` itself.
     """
     if not isinstance(payload, dict):
         raise ValueError("request body must be a JSON object")
-    unknown = sorted(set(payload) - _REQUEST_FIELDS)
+    unknown = sorted(set(payload) - set(_WIRE))
     if unknown:
-        raise ValueError(
-            f"unknown request field(s) {unknown}; allowed: {sorted(_REQUEST_FIELDS)}"
-        )
+        raise ValueError(f"unknown request field(s) {unknown}; allowed: {sorted(_WIRE)}")
     if "model" not in payload:
         raise ValueError("request must name a 'model'")
-    kwargs = dict(payload)
-    if kwargs.get("gate") is not None:
-        gate = kwargs["gate"]
-        if not isinstance(gate, (list, tuple)) or len(gate) != 2:
-            raise ValueError(f"gate must be a [l_min, l_max] pair, got {gate!r}")
-        kwargs["gate"] = (float(gate[0]), float(gate[1]))
-    if kwargs.get("task_range") is not None:
-        task_range = kwargs["task_range"]
-        if (
-            not isinstance(task_range, (list, tuple))
-            or len(task_range) != 2
-            or not all(isinstance(v, int) for v in task_range)
-        ):
-            raise ValueError(
-                f"task_range must be a [lo, hi) pair of task indices, "
-                f"got {task_range!r}"
-            )
-        kwargs["task_range"] = (int(task_range[0]), int(task_range[1]))
-    try:
-        return RunRequest(**kwargs)
-    except TypeError as exc:
-        raise ValueError(str(exc)) from None
+    return RunRequest(**{k: _from_wire(_WIRE[k], v) for k, v in payload.items()})
 
 
 def request_to_json(request: RunRequest) -> dict | None:
@@ -129,30 +104,15 @@ def request_to_json(request: RunRequest) -> dict | None:
 
     The inverse of :func:`request_from_json`, used by the job journal: a
     journaled request must round-trip *exactly* (same fingerprint, same
-    RNG consumption) or not at all.  Requests built from an explicit
-    ``config``, carrying custom ``records``, a ``sub_batch`` override
-    (changes RNG consumption but not the fingerprint) or a non-local
-    ``mode`` are therefore unexpressible — the journal records them
-    without a payload and refuses to replay them, rather than silently
-    re-simulating something else.  So is a request carrying an injected
-    ``frontier`` (it changes which tasks are simulated) or an explicit
-    ``capture_frontier`` flag (dropping it would silently produce a
-    non-extendable archive on replay).
+    RNG consumption) or not at all.  A request with a non-default value in
+    a field the schema marks ``unjournalable`` is journaled without a
+    payload and never replayed, rather than silently re-simulated as
+    something else.
     """
-    if (
-        request.model is None
-        or request.records is not None
-        or request.sub_batch is not None
-        or request.mode != "local"
-        or request.frontier is not None
-        or request.capture_frontier
-    ):
+    if any(getattr(request, k) != v for k, v in _UNJOURNALABLE.items()):
         return None
-    payload = {}
-    for name in sorted(_REQUEST_FIELDS):
-        value = getattr(request, name)
-        payload[name] = list(value) if isinstance(value, tuple) else value
-    return payload
+    payload = {name: getattr(request, name) for name in sorted(_WIRE)}
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in payload.items()}
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -255,7 +215,7 @@ class _Handler(BaseHTTPRequestHandler):
             length = int(self.headers.get("Content-Length", 0))
             payload = json.loads(self.rfile.read(length) or b"{}")
             request = request_from_json(payload)
-        except (ValueError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
             self._send_error(400, "bad_request", str(exc))
             return
         priority = self.headers.get("X-Priority", "normal")
@@ -344,6 +304,11 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_bytes(data, "application/octet-stream")
 
 
+#: Seconds between the serve loop's shutdown checks, so :meth:`close`
+#: returns within this bound instead of the standard library's 0.5 s.
+_POLL_INTERVAL = 0.05
+
+
 class ServiceServer:
     """The HTTP face of a :class:`JobManager`.
 
@@ -399,14 +364,15 @@ class ServiceServer:
     def start(self) -> "ServiceServer":
         self._serving = True
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name="repro-http", daemon=True
+            target=self._httpd.serve_forever, args=(_POLL_INTERVAL,),
+            name="repro-http", daemon=True,
         )
         self._thread.start()
         return self
 
     def serve_forever(self) -> None:
         self._serving = True
-        self._httpd.serve_forever()
+        self._httpd.serve_forever(_POLL_INTERVAL)
 
     def drain(self, timeout: float | None = None) -> bool:
         """Graceful shutdown: refuse new runs, let running jobs settle, close.

@@ -155,9 +155,13 @@ class VoxelMedium:
         """
         nx, ny, nz = self.shape
         hx, hy, hz = self.voxel_size
-        ix = np.clip(((np.asarray(x) + self.half_extent) / hx).astype(np.int64), 0, nx - 1)
-        iy = np.clip(((np.asarray(y) + self.half_extent) / hy).astype(np.int64), 0, ny - 1)
-        iz = np.clip((np.asarray(z) / hz).astype(np.int64), 0, nz - 1)
+        ix = ((np.asarray(x) + self.half_extent) / hx).astype(np.int64)
+        iy = ((np.asarray(y) + self.half_extent) / hy).astype(np.int64)
+        iz = (np.asarray(z) / hz).astype(np.int64)
+        # minimum/maximum rather than np.clip (see GridSpec.world_to_index).
+        ix = np.minimum(np.maximum(ix, 0), nx - 1)
+        iy = np.minimum(np.maximum(iy, 0), ny - 1)
+        iz = np.minimum(np.maximum(iz, 0), nz - 1)
         return ix, iy, iz
 
     def material_volume_fractions(self) -> np.ndarray:

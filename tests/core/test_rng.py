@@ -1,11 +1,11 @@
-"""Tests for the per-task RNG stream factory."""
+"""Tests for the per-task RNG streams."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.rng import StreamFactory, spawn_rngs, task_rng
+from repro.core.rng import task_rng
 
 
 class TestTaskRng:
@@ -38,39 +38,3 @@ class TestTaskRng:
     def test_large_task_index(self):
         g = task_rng(0, 10**9)
         assert 0.0 <= g.random() < 1.0
-
-
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(0, 5)) == 5
-
-    def test_empty(self):
-        assert spawn_rngs(0, 0) == []
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError, match="n_tasks"):
-            spawn_rngs(0, -1)
-
-    def test_matches_task_rng(self):
-        generators = spawn_rngs(9, 3)
-        for i, g in enumerate(generators):
-            np.testing.assert_array_equal(g.random(10), task_rng(9, i).random(10))
-
-
-class TestStreamFactory:
-    def test_factory_equals_function(self):
-        f = StreamFactory(seed=5)
-        np.testing.assert_array_equal(f.for_task(2).random(10), task_rng(5, 2).random(10))
-
-    def test_factory_is_picklable(self):
-        import pickle
-
-        f = pickle.loads(pickle.dumps(StreamFactory(seed=11)))
-        np.testing.assert_array_equal(f.for_task(0).random(5), task_rng(11, 0).random(5))
-
-    def test_spawn(self):
-        f = StreamFactory(seed=3)
-        gens = f.spawn(4)
-        assert len(gens) == 4
-        values = [g.random() for g in gens]
-        assert len(set(values)) == 4

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core import SimulationConfig, run_batch_vectorized, task_rng
+from repro.core.geometry import SlabGeometry
 from repro.core.vkernel import _PathEvents, _State
 from repro.detect import GridSpec
 from repro.sources import PencilBeam
-from repro.tissue import LayerStack, OpticalProperties
+from repro.tissue import Layer, LayerStack, OpticalProperties
 
 PROPS = OpticalProperties(mu_a=1.0, mu_s=10.0, g=0.8, n=1.4)
 
@@ -165,6 +166,36 @@ class TestState:
         st.alive[:] = [False, True, True, False, True]
         st.squeeze()
         np.testing.assert_array_equal(st.gid, [1, 3, 5])
+
+
+class TestSlabDistance:
+    """Distance to the next interface along each photon's direction."""
+
+    def state(self, z, uz, layer):
+        n = len(z)
+        pos = np.zeros((n, 3))
+        pos[:, 2] = z
+        dirs = np.zeros((n, 3))
+        dirs[:, 2] = uz
+        dirs[:, 0] = np.sqrt(1.0 - np.square(uz))
+        return _State(pos, dirs, np.asarray(layer, dtype=np.int64), np.ones(n))
+
+    def test_semi_infinite_layer(self):
+        geometry = SlabGeometry(LayerStack.homogeneous(PROPS), classical=False)
+        st = self.state([1.0, 1.0, 1.0], [-0.5, 0.5, 0.0], [0, 0, 0])
+        d = geometry.distance(st)
+        assert d[0] == (0.0 - 1.0) / -0.5
+        assert d[1] == np.inf and d[2] == np.inf
+
+    def test_each_photon_sees_its_own_layer_faces(self):
+        stack = LayerStack([Layer("a", PROPS, 1.0), Layer("b", PROPS, 2.0)])
+        geometry = SlabGeometry(stack, classical=False)
+        z = [0.25, 0.25, 1.5, 1.5, 1.5]
+        uz = [0.8, -0.8, 0.6, -0.6, 0.0]
+        d = geometry.distance(self.state(z, uz, [0, 0, 1, 1, 1]))
+        expected = [(1.0 - 0.25) / 0.8, (0.0 - 0.25) / -0.8,
+                    (3.0 - 1.5) / 0.6, (1.0 - 1.5) / -0.6, np.inf]
+        np.testing.assert_array_equal(d, expected)
 
 
 class TestSubBatching:

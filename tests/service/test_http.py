@@ -204,6 +204,29 @@ class TestErrors:
         assert payload["error"]["code"] == "bad_request"
         assert "fotons" in payload["error"]["message"]
 
+    @pytest.mark.parametrize("field, value", [
+        ("detector_spacing", "a"), ("n_photons", 1.5), ("n_photons", True),
+        ("kernel", "nope"), ("backend", "gpu"), ("task_size", 0),
+        ("n_photons", -5),
+    ])
+    def test_malformed_value_400(self, server, field, value):
+        code, payload = self._status_of(
+            lambda: _post(f"{server.url}/v2/runs", {"model": "white_matter", field: value})
+        )
+        assert code == 400
+        assert payload["error"]["code"] == "bad_request"
+        assert field in payload["error"]["message"]
+        assert server.manager.jobs() == []  # nothing queued or journaled
+
+    def test_deeply_nested_body_400(self, server):
+        request = urllib.request.Request(
+            f"{server.url}/v2/runs", data=b"[" * 100_000 + b"]" * 100_000,
+            method="POST", headers={"Content-Type": "application/json"},
+        )
+        code, payload = self._status_of(lambda: urllib.request.urlopen(request, timeout=30))
+        assert code == 400
+        assert payload["error"]["code"] == "bad_request"
+
     def test_invalid_model_400(self, server):
         code, _ = self._status_of(
             lambda: _post(f"{server.url}/v2/runs", {"model": "gray_matter"})

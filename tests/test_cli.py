@@ -54,6 +54,112 @@ class TestParser:
         assert args.timeout is None
 
 
+#: ``run`` / ``serve`` options -> (default, choices, nargs, const), as the
+#: flags stood before they were derived from the request schema.
+_MODELS = ("white_matter", "adult_head", "neonatal_head")
+_SHARED = {
+    "--model": ("adult_head", _MODELS, None, None),
+    "--seed": (0, None, None, None),
+    "--task-size": (10000, None, None, None),
+    "--span-size": (None, None, None, None),
+    "--sub-batch": (None, None, None, None),
+    "--checkpoint": (None, None, None, None),
+    "--resume": (False, None, 0, True),
+    "--task-deadline": (None, None, None, None),
+    "--no-retain-task-tallies": (True, None, 0, False),
+    "--compress": (False, None, 0, True),
+    "--metrics": (None, None, None, None),
+    "--progress": (False, None, 0, True),
+}
+OPTIONS = {
+    "run": dict(
+        _SHARED,
+        **{
+            "--photons": (20000, None, None, None),
+            "--kernel": ("vector", ("vector", "scalar"), None, None),
+            "--boundary-mode": ("probabilistic", ("probabilistic", "classical"), None, None),
+            "--detector-spacing": (None, None, None, None),
+            "--gate": (None, None, 2, None),
+            "--workers": (1, None, None, None),
+            "--backend": ("auto", ("auto", "serial", "thread", "process"), None, None),
+            "--task-range": (None, None, 2, None),
+            "--capture-frontier": (False, None, 0, True),
+            "--capture-paths": (False, None, 0, True),
+            "--extend-from": (None, None, None, None),
+            "--save": (None, None, None, None),
+        },
+    ),
+    "serve": dict(
+        _SHARED,
+        **{
+            "--photons": (100000, None, None, None),
+            "--host": ("127.0.0.1", None, None, None),
+            "--port": (0, None, None, None),
+            "--timeout": (3600.0, None, None, None),
+            "--heartbeat-timeout": (30.0, None, None, None),
+        },
+    ),
+}
+
+
+class TestRequestFlags:
+    """The run/serve flags are derived from the request schema."""
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_options_and_defaults_are_pinned(self, command):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if a.choices and command in a.choices)
+        actual = {
+            action.option_strings[0]: (
+                action.default, action.choices and tuple(action.choices),
+                action.nargs, action.const,
+            )
+            for action in sub.choices[command]._actions
+            if action.option_strings != ["-h", "--help"]
+        }
+        assert actual == OPTIONS[command]
+
+    def _request(self, monkeypatch, argv):
+        """The RunRequest ``main(argv)`` hands to ``api.run``."""
+        import repro.api
+
+        seen = []
+
+        def capture(request):
+            seen.append(request)
+            raise KeyboardInterrupt  # stop before anything runs
+
+        monkeypatch.setattr(repro.api, "run", capture)
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+        return seen[0]
+
+    @pytest.mark.parametrize("model", _MODELS)
+    def test_serve_and_run_build_the_same_physics(self, monkeypatch, model):
+        from repro.service import physics_fingerprint, request_fingerprint
+
+        flags = ["--model", model, "--photons", "3000", "--seed", "4",
+                 "--task-size", "500"]
+        run = self._request(monkeypatch, ["run", *flags])
+        serve = self._request(monkeypatch, ["serve", *flags, "--heartbeat-timeout", "0"])
+        assert serve.mode == "serve" and serve.heartbeat_timeout is None
+        assert physics_fingerprint(serve) == physics_fingerprint(run)
+        assert request_fingerprint(serve) == request_fingerprint(run)
+
+    def test_serve_default_physics_matches_run(self, monkeypatch):
+        from repro.service import physics_fingerprint
+
+        serve = self._request(monkeypatch, ["serve"])
+        assert physics_fingerprint(serve) == (
+            "10ccda4c05a0b259ce699ab3f241bd70462fded4c4ed0a50a51a373a9a4d3fff"
+        )
+        assert serve.n_photons == 100_000
+
+    def test_bad_flag_value_refused_before_running(self, monkeypatch):
+        with pytest.raises(ValueError, match="task_size"):
+            self._request(monkeypatch, ["run", "--task-size", "0"])
+
+
 class TestCommands:
     def test_run_white_matter(self, capsys):
         code = main([
