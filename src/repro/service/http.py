@@ -54,6 +54,7 @@ Responses are JSON except for the archive endpoint
 from __future__ import annotations
 
 import json
+import os
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -70,6 +71,10 @@ __all__ = ["ServiceServer", "request_from_json", "request_to_json"]
 _WIRE = {name: meta for name, meta in SCHEMA.items() if meta["wire"]}
 #: Fields whose non-default value the journal cannot replay, with defaults.
 _UNJOURNALABLE = {n: m["default"] for n, m in SCHEMA.items() if m["unjournalable"]}
+#: Upper bounds the wire adds to the schema's ranges: a client may not size
+#: the server's process pool beyond its cores, nor ask for a budget that
+#: admission cannot price in float photons.  Library callers are unbounded.
+_WIRE_MAX = {"workers": os.cpu_count() or 1, "n_photons": sys.float_info.max}
 
 
 def _from_wire(meta, value):
@@ -86,8 +91,9 @@ def request_from_json(payload: object) -> RunRequest:
     """Build a :class:`RunRequest` from an untrusted JSON body.
 
     Only wire fields are accepted (unknown keys are a hard error so typos
-    fail loudly instead of silently simulating the wrong thing), and every
-    value is type- and range-checked by ``RunRequest`` itself.
+    fail loudly instead of silently simulating the wrong thing), every
+    value is type- and range-checked by ``RunRequest`` itself, and
+    ``workers`` and ``n_photons`` are further capped by ``_WIRE_MAX``.
     """
     if not isinstance(payload, dict):
         raise ValueError("request body must be a JSON object")
@@ -96,6 +102,10 @@ def request_from_json(payload: object) -> RunRequest:
         raise ValueError(f"unknown request field(s) {unknown}; allowed: {sorted(_WIRE)}")
     if "model" not in payload:
         raise ValueError("request must name a 'model'")
+    for name, bound in _WIRE_MAX.items():
+        value = payload.get(name)
+        if type(value) is int and value > bound:
+            raise ValueError(f"{name} above {bound:g} is refused by this server")
     return RunRequest(**{k: _from_wire(_WIRE[k], v) for k, v in payload.items()})
 
 

@@ -2,76 +2,57 @@
 
 The paper's platform answers one question per campaign; a *serving* system
 faces many callers asking overlapping questions concurrently.  The
-:class:`JobManager` is the piece that exploits determinism at submission
-time:
+:class:`JobManager` exploits determinism:
 
-1. **Cache check** — the request's fingerprint is looked up in the
-   :class:`~repro.service.store.ResultStore`; a hit completes the job
-   immediately, no simulation.
-2. **Coalescing** — if an identical request is already *in flight*, the new
-   submission attaches to the running flight instead of starting a second
-   simulation: N concurrent identical submissions cost exactly one run, and
-   every attached job receives the same result.
-3. **Prefix extension** — a cache-cold request whose *physics* (everything
-   but ``n_photons``) matches a stored smaller-budget entry does not start
-   from photon zero: the flight primes the cached archive's reduction
-   frontier into its reducer and simulates only the missing tasks.  The
-   extended tally is bit-identical to a from-scratch run (task RNG streams
-   are keyed by ``(seed, task_index)``), so it is stored and served exactly
-   as a cold result would be.  Jobs report how they were served via
-   ``Job.cache`` (``"exact"`` / ``"prefix"`` / ``"derived"`` / ``"miss"``).
-4. **Derivation** — a request that differs from a cached entry *only in
-   the perturbable optical coefficients* (per-layer μa/μs; same
-   :func:`~repro.service.fingerprint.derivation_basis`, same budget) is
-   answered by **reweighting** the cached parent's path records
-   (:mod:`repro.perturb`) — zero photons simulated.  The derived tally is
-   stored under the request's own fingerprint (``derived_from`` +
-   perturbation delta in its provenance, ``derived=True`` in the index) so
-   repeats are exact hits and it can itself seed further derivations —
-   though simulation-born parents are always preferred, so scattering
-   approximation error never compounds.  Any load/reweight failure falls
-   through to a cold run: auto-derivation is an optimisation, never a
-   correctness gate (the fail-closed path is
-   :func:`repro.perturb.derive_from_archive`).  Cold extendable runs
-   capture path records by default (``capture_paths=True`` on the
-   manager) so their stored entries are eligible parents.
-5. **Budget chaining** — a queued flight whose physics matches a smaller
-   in-flight budget waits for that flight instead of racing it cold: when
-   the base settles, the chained flight is released and (on success) finds
-   the freshly stored entry as its extension base, so concurrent
-   escalating budgets cost one full run plus deltas.  Flights whose
-   *derivation basis* matches an in-flight equal-budget run chain the
-   same way: the parent simulates once, the waiters each derive.
-6. **Execution** — remaining work runs through the :func:`repro.api.run`
-   facade on a bounded thread pool (each run may itself fan out over its
-   own process/thread backend), in priority order (``high`` before
-   ``normal`` before ``low``; FIFO within a class).
+1. **Coalescing** — a submission identical to a flight already in progress
+   rides on it: N concurrent identical submissions cost one run.
+2. **Budget chaining** — a flight whose physics matches a smaller in-flight
+   budget (or whose derivation basis matches an equal in-flight budget)
+   waits for it, then extends or derives from its stored result.
+3. **Execution** — work runs through :func:`repro.api.run` on a bounded
+   thread pool, ``high`` before ``normal`` before ``low`` (FIFO within a
+   class).
 
-Job lifecycle: ``queued → running → done | failed | cancelled``.  A queued
-job can be cancelled; cancelling every job of a flight cancels the flight
-(if it has not started).  All state transitions are metered into
-:mod:`repro.observe` — cache hits/misses, coalesced submissions, a
-queue-depth gauge and a job-latency histogram.
+How a job was served is ``Job.cache``, in resolution order:
 
-Crash safety (optional)
------------------------
-Given a :class:`~repro.service.journal.JobJournal`, every transition is
-journaled durably *before* it is acknowledged, each flight checkpoints its
-tasks under the journal's ``checkpoints/<fingerprint>/`` directory (via
-:mod:`repro.distributed.checkpoint`), and a restarted manager **replays**
-the journal: queued jobs are re-enqueued, and jobs that were running when
-the process died resume from their latest checkpoint — the recovered tally
-is bit-identical to an uninterrupted run, because checkpoint resume is.
-Cache hits are not journaled (they are terminal at submission; there is
-nothing to recover).  Requests the wire cannot express (explicit
-``config``, custom ``records``, ``sub_batch``, non-local mode) are
-journaled without a request payload and marked failed on replay rather
-than silently re-simulated wrong.
+* ``"exact"`` — the store holds the request's fingerprint: no run.
+* ``"prefix"`` — a stored smaller budget with the same physics primes its
+  reduction frontier; only the missing tasks run, and the tally is
+  bit-identical to a cold run (task RNG streams are keyed by
+  ``(seed, task_index)``).
+* ``"derived"`` — a stored run differing only in per-layer μa/μs (same
+  :func:`~repro.service.fingerprint.derivation_basis` and budget) is
+  reweighted through its path records (:mod:`repro.perturb`): zero photons.
+  Simulation-born parents are preferred, so approximation error never
+  compounds; a parent that cannot be reweighted falls through to a cold
+  run.  Cold extendable runs capture path records (``capture_paths``) so
+  their entries are eligible parents.
+* ``"miss"`` — a cold run.
 
-Resilience knobs: ``max_attempts``/``retry_backoff`` retry a flight whose
-run raised (transient worker failures), and ``job_timeout`` fails a flight
-that exceeds its wall budget (the abandoned run finishes on a daemon
-thread and is discarded).
+Every flight settles through one path.  ``_plan`` is the only code that
+knows the tier: its :class:`_Plan` carries the request to run or the tally
+that needs none, the job-facing provenance, the journal ``started`` fields
+and the stored ``derived_from`` record.  ``_execute`` journals ``started``,
+runs only when the plan holds no tally, stores the result with one ``put``
+and settles every rider.  A failed run, reweight or put fails the flight in
+every tier: nothing is acknowledged ``done`` without a fetchable result,
+and a failed put never re-runs the simulation.  ``max_attempts`` retries a
+run that raised (``_RETRY_BACKOFF`` seconds, doubled per attempt), and
+``job_timeout`` fails a flight over its wall budget (the abandoned run
+finishes on a daemon thread and is discarded).
+
+Job lifecycle: ``queued → running → done | failed | cancelled``; a flight
+whose every rider cancels before it starts is cancelled.  Transitions are
+metered into :mod:`repro.observe`.
+
+Crash safety (optional): given a :class:`~repro.service.journal.JobJournal`,
+every transition is journaled durably *before* it is acknowledged, each
+flight checkpoints under the journal's ``checkpoints/<fingerprint>/``, and a
+restarted manager replays the journal — queued jobs re-enqueue, interrupted
+ones resume bit-identically from their checkpoint.  Exact hits at
+submission are terminal, so not journaled.  Requests the wire cannot
+express are journaled without a payload and fail on replay rather than
+re-simulate wrong.
 """
 
 from __future__ import annotations
@@ -82,7 +63,7 @@ import shutil
 import threading
 import time
 import uuid
-from concurrent.futures import ThreadPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -105,6 +86,11 @@ __all__ = ["Job", "JobManager", "JobState", "JobTimeout", "PRIORITIES"]
 #: Priority classes, lower number dispatches first.
 PRIORITIES = {"high": 0, "normal": 1, "low": 2}
 _PRIORITY_NAMES = {v: k for k, v in PRIORITIES.items()}
+
+#: Seconds before the first retry of a failed run; doubled per attempt and
+#: capped at ``_RETRY_CAP``.
+_RETRY_BACKOFF = 0.5
+_RETRY_CAP = 30.0
 
 
 class JobTimeout(RuntimeError):
@@ -132,7 +118,6 @@ class Job:
     request: RunRequest | None
     state: str = JobState.QUEUED
     priority: int = PRIORITIES["normal"]
-    cache_hit: bool = False
     coalesced: bool = False
     recovered: bool = False
     #: How the cache served this job: ``"exact"`` (stored result returned
@@ -156,6 +141,11 @@ class Job:
     _done: threading.Event = field(
         default_factory=threading.Event, repr=False, compare=False
     )
+
+    @property
+    def cache_hit(self) -> bool:
+        """Whether the stored result was returned as-is."""
+        return self.cache == "exact"
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block until the job settles; False on timeout."""
@@ -198,74 +188,62 @@ class Job:
                 out["delta_photons"] = self.delta_photons
         return out
 
-    # -- transitions (called by the manager, under its lock) -----------------
-    def _complete(self, tally: Tally, *, cache_hit: bool = False) -> None:
-        self.tally = tally
-        self.cache_hit = cache_hit
-        if cache_hit:
-            self.cache = "exact"
-        self.state = JobState.DONE
-        self.finished = time.time()
-        self._done.set()
+    # -- transitions (called by the manager) ----------------------------------
+    def _complete(self, plan: "_Plan") -> None:
+        """Done, with the plan's result and provenance."""
+        self.tally, self.cache = plan.tally, plan.cache
+        self.base_fingerprint = plan.base_fingerprint
+        self.delta_photons, self.perturbation = plan.delta_photons, plan.perturbation
+        self._finish(JobState.DONE)
 
-    def _fail(self, error: str) -> None:
-        self.error = error
-        self.state = JobState.FAILED
-        self.finished = time.time()
-        self._done.set()
-
-    def _cancel(self) -> None:
-        self.state = JobState.CANCELLED
-        self.finished = time.time()
+    def _finish(self, state: str, error: str | None = None) -> None:
+        self.state, self.error, self.finished = state, error, time.time()
         self._done.set()
 
 
+@dataclass(eq=False)
 class _Flight:
     """One in-flight simulation and the jobs riding on it."""
 
-    def __init__(
-        self,
-        fingerprint: str,
-        request: RunRequest,
-        priority: int = 1,
-        physics: str | None = None,
-        basis: str | None = None,
-    ) -> None:
-        self.fingerprint = fingerprint
-        self.request = request
-        self.priority = priority
-        #: Physics fingerprint (budget-independent); ``None`` when the
-        #: request is not eligible for prefix extension or chaining.
-        self.physics = physics
-        #: Derivation basis (coefficient-independent); ``None`` when the
-        #: request is not eligible for perturbation derivation.
-        self.basis = basis
-        self.jobs: list[Job] = []
-        #: Flights with the same physics and a larger budget — or the same
-        #: derivation basis and an equal budget — parked until this flight
-        #: settles (see ``JobManager._release_chained``).
-        self.chained: list["_Flight"] = []
-        self.started = False
-        self.started_at: float | None = None
-        self.cancelled = False
+    fingerprint: str
+    request: RunRequest
+    priority: int = 1
+    #: Physics fingerprint (budget-independent); ``None`` when the request
+    #: is not eligible for prefix extension or chaining.
+    physics: str | None = None
+    #: Derivation basis (coefficient-independent); ``None`` when the
+    #: request is not eligible for perturbation derivation.
+    basis: str | None = None
+    jobs: list[Job] = field(default_factory=list)
+    #: Flights with the same physics and a larger budget — or the same
+    #: derivation basis and an equal budget — parked until this flight
+    #: settles (see ``JobManager._release_chained``).
+    chained: list["_Flight"] = field(default_factory=list)
+    started: bool = False
+    started_at: float | None = None
+    cancelled: bool = False
 
 
 @dataclass
 class _Plan:
-    """How ``_execute`` should serve a flight (decided at execute time)."""
+    """How a flight is served: the one value that names its cache tier."""
 
-    run_request: RunRequest
-    #: Non-None: the flight settles without running (exact or derived).
-    tally: Tally | None = None
     cache: str = "miss"  # "exact" | "prefix" | "derived" | "miss"
-    #: Prefix-extension base or derivation parent.
+    #: The request to run; ``None`` when ``tally`` already answers.
+    request: RunRequest | None = None
+    tally: Tally | None = None
+    #: Job-facing provenance, copied onto every rider: the prefix base or
+    #: derivation parent, the photons a prefix delta run simulates, and a
+    #: derivation's ``PerturbationDelta.as_dict()``.
     base_fingerprint: str | None = None
-    base_n_photons: int | None = None
     delta_photons: int | None = None
-    #: ``PerturbationDelta.as_dict()`` of a derived plan.
     perturbation: dict | None = None
-    #: Whether the derivation parent was itself derived (provenance detail).
-    parent_derived: bool = False
+    #: Extra fields of each rider's journal ``started`` record.
+    started: dict = field(default_factory=dict)
+    #: The stored entry's ``derived_from`` provenance, and whether it was
+    #: reweighted rather than simulated (the store's ``derived`` flag).
+    derived_from: dict | None = None
+    derived: bool = False
 
 
 class JobManager:
@@ -281,18 +259,17 @@ class JobManager:
         A :class:`~repro.service.journal.JobJournal` (or its directory
         path) making job state durable; the constructor replays it, so
         jobs interrupted by a crash are re-enqueued/resumed immediately.
-    max_attempts / retry_backoff:
-        A flight whose run raises is retried up to ``max_attempts`` total
-        attempts, sleeping ``retry_backoff * 2**(attempt-1)`` seconds (cap
-        30 s) in between — transient worker failures don't fail jobs.
+    max_attempts:
+        Total attempts of a flight whose run raises, sleeping
+        ``_RETRY_BACKOFF * 2**(attempt-1)`` seconds (cap ``_RETRY_CAP``) in
+        between.  Only the run is retried: a failed ``put`` fails at once.
     job_timeout:
         Wall-clock budget per flight attempt; exceeding it fails the job
         with :class:`JobTimeout` (no retry — a timeout is not transient).
     capture_paths:
-        Capture per-detected-photon path records on cold extendable runs
-        (the default), making their stored entries eligible perturbation
-        parents.  ``False`` disables capture — and with it derivation
-        chaining — for memory/storage-constrained deployments; explicit
+        Capture path records on cold extendable runs (the default), making
+        their stored entries eligible perturbation parents.  ``False``
+        disables capture and derivation chaining; an explicit
         ``RunRequest.capture_paths`` is honoured either way.
     """
 
@@ -305,7 +282,6 @@ class JobManager:
         runner=None,
         journal: JobJournal | str | Path | None = None,
         max_attempts: int = 1,
-        retry_backoff: float = 0.5,
         job_timeout: float | None = None,
         capture_paths: bool = True,
     ) -> None:
@@ -313,8 +289,6 @@ class JobManager:
             raise ValueError(f"max_workers must be > 0, got {max_workers}")
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-        if retry_backoff < 0:
-            raise ValueError(f"retry_backoff must be >= 0, got {retry_backoff}")
         if job_timeout is not None and job_timeout <= 0:
             raise ValueError(f"job_timeout must be > 0 or None, got {job_timeout}")
         self.store = store
@@ -329,11 +303,10 @@ class JobManager:
         if journal is not None and journal.telemetry is None:
             journal.telemetry = self.telemetry
         self.max_attempts = max_attempts
-        self.retry_backoff = retry_backoff
         self.job_timeout = job_timeout
         self.capture_paths = capture_paths
         self._runner = runner if runner is not None else self._default_runner
-        self._executor = ThreadPoolExecutor(
+        self._executor = futures.ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-service"
         )
         self._lock = threading.Lock()
@@ -371,7 +344,7 @@ class JobManager:
         for flight in flights:
             if not flight.started:
                 for job in flight.jobs:
-                    job._cancel()
+                    job._finish(JobState.CANCELLED)
         if self.journal is not None:
             self.journal.close()
         if self.store is not None:
@@ -405,13 +378,8 @@ class JobManager:
         self.close()
 
     # ------------------------------------------------------------ submission
-    def submit(
-        self,
-        request: RunRequest,
-        *,
-        priority: str | int = "normal",
-        client: str | None = None,
-    ) -> Job:
+    def submit(self, request: RunRequest, *, priority: str | int = "normal",
+               client: str | None = None) -> Job:
         """Register a run request; returns immediately with a :class:`Job`.
 
         The job may already be ``done`` (cache hit), attached to an
@@ -420,13 +388,7 @@ class JobManager:
         durable before this method returns.
         """
         rank = self._resolve_priority(priority)
-        fingerprint = request_fingerprint(request)
-        job = Job(
-            id=uuid.uuid4().hex,
-            fingerprint=fingerprint,
-            request=request,
-            priority=rank,
-        )
+        job = Job(uuid.uuid4().hex, request_fingerprint(request), request, priority=rank)
         with self._lock:
             if self._closed or self._draining:
                 raise RuntimeError(
@@ -434,29 +396,30 @@ class JobManager:
                 )
             self._jobs[job.id] = job
         self.telemetry.count("service.jobs.submitted")
-
-        if self.store is not None:
-            tally = self.store.get(fingerprint)
-            if tally is not None:
-                # Terminal at submission: nothing to recover, not journaled.
-                job._complete(tally, cache_hit=True)
-                self.telemetry.count("service.cache.hits")
-                return job
-        self.telemetry.count("service.cache.misses")
-
-        self._journal_record(
-            "submitted",
-            job.id,
-            fingerprint=fingerprint,
-            request=self._request_payload(request),
-            priority=rank,
-            client=client,
-        )
-        self._enqueue(job, request)
+        hit = self._admit(job, journal=True, client=client)
+        self.telemetry.count("service.cache.hits" if hit else "service.cache.misses")
         return job
 
-    def _enqueue(self, job: Job, request: RunRequest) -> None:
+    def _admit(self, job: Job, *, journal: bool = False, client: str | None = None) -> bool:
+        """Settle a registered job from the store (``True``), or enqueue it.
+
+        An exact hit is terminal at once: nothing to recover, not journaled.
+        Otherwise ``submitted`` is journaled (when ``journal``) first.
+        """
+        plan = self._exact(job.fingerprint)
+        if plan is not None:
+            self._settle([job], plan, journal=False)
+            return True
+        if journal:
+            payload = self._request_payload(job.request)
+            self._journal_record("submitted", job.id, fingerprint=job.fingerprint,
+                                 request=payload, priority=job.priority, client=client)
+        self._enqueue(job)
+        return False
+
+    def _enqueue(self, job: Job) -> None:
         """Attach ``job`` to an existing flight or open (and queue) a new one."""
+        request = job.request
         extendable = self._extendable(request)
         physics = physics_fingerprint(request) if extendable else None
         basis = derivation_basis(request) if extendable else None
@@ -470,14 +433,7 @@ class JobManager:
                 self.telemetry.count("service.coalesced")
                 self._update_queue_depth()
                 return
-            flight = _Flight(
-                job.fingerprint,
-                request,
-                priority=job.priority,
-                physics=physics,
-                basis=basis,
-            )
-            flight.jobs.append(job)
+            flight = _Flight(job.fingerprint, request, job.priority, physics, basis, [job])
             self._flights[job.fingerprint] = flight
             base = self._chain_base(flight)
             if base is not None:
@@ -515,26 +471,18 @@ class JobManager:
         """
         if flight.physics is None:
             return None
-        best = None
-        peer = None
-        for other in self._flights.values():
-            if other is flight or other.cancelled:
-                continue
-            if (
-                other.physics == flight.physics
-                and other.request.n_photons < flight.request.n_photons
-            ):
-                if best is None or other.request.n_photons > best.request.n_photons:
-                    best = other
-            elif (
-                peer is None
-                and self.capture_paths
-                and flight.basis is not None
-                and other.basis == flight.basis
-                and other.request.n_photons == flight.request.n_photons
-            ):
-                peer = other
-        return best if best is not None else peer
+        n = flight.request.n_photons
+        others = [f for f in self._flights.values() if f is not flight and not f.cancelled]
+        smaller = [
+            f for f in others if f.physics == flight.physics and f.request.n_photons < n
+        ]
+        if smaller:
+            return max(smaller, key=lambda f: f.request.n_photons)
+        if not self.capture_paths:
+            return None
+        return next(
+            (f for f in others if f.basis == flight.basis and f.request.n_photons == n), None
+        )
 
     def _release_chained(self, flight: _Flight) -> None:
         """Queue the flights parked behind ``flight`` (call without lock)."""
@@ -543,9 +491,7 @@ class JobManager:
             if self._closed:
                 return  # close() cancels their riders via its flight sweep
             for waiter in chained:
-                heapq.heappush(
-                    self._pending, (waiter.priority, next(self._seq), waiter)
-                )
+                heapq.heappush(self._pending, (waiter.priority, next(self._seq), waiter))
         for _ in chained:
             try:
                 self._executor.submit(self._run_next)
@@ -596,7 +542,7 @@ class JobManager:
                         self._flights.pop(job.fingerprint, None)
                         self._idle.notify_all()
                         released = flight
-            job._cancel()
+            job._finish(JobState.CANCELLED)
             self._update_queue_depth()
         if released is not None:
             self._release_chained(released)
@@ -614,11 +560,8 @@ class JobManager:
         from .http import request_from_json  # lazy: http imports this module
 
         for entry in open_jobs:
-            request = None
-            error = None
-            if entry.request is None:
-                error = "not recoverable: request not journalable"
-            else:
+            request, error = None, "not recoverable: request not journalable"
+            if entry.request is not None:
                 try:
                     request = request_from_json(entry.request)
                 except ValueError as exc:
@@ -628,28 +571,15 @@ class JobManager:
                 # (version bump): refuse rather than file the result under
                 # a stale address.
                 request, error = None, "not recoverable: fingerprint drift"
-            job = Job(
-                id=entry.job_id,
-                fingerprint=entry.fingerprint,
-                request=request,
-                priority=entry.priority,
-                recovered=True,
-                created=entry.submitted_ts or time.time(),
-            )
+            job = Job(entry.job_id, entry.fingerprint, request, priority=entry.priority,
+                      recovered=True, created=entry.submitted_ts or time.time())
             with self._lock:
                 self._jobs[job.id] = job
             if request is None:
-                job._fail(error)
+                job._finish(JobState.FAILED, error)
                 self.telemetry.count("service.journal.unrecoverable")
                 continue
-            if self.store is not None:
-                tally = self.store.get(entry.fingerprint)
-                if tally is not None:
-                    # The crash lost the acknowledgement, not the result.
-                    job._complete(tally, cache_hit=True)
-                    self.telemetry.count("service.recovered")
-                    continue
-            self._enqueue(job, request)
+            self._admit(job)  # a store hit: the crash lost only the acknowledgement
             self.telemetry.count("service.recovered")
         self._journal_compact()
 
@@ -663,14 +593,8 @@ class JobManager:
             return
         with self._lock:
             open_jobs = [
-                OpenJob(
-                    job_id=job.id,
-                    fingerprint=job.fingerprint,
-                    request=self._request_payload(job.request),
-                    priority=job.priority,
-                    submitted_ts=job.created,
-                    was_running=flight.started,
-                )
+                OpenJob(job.id, job.fingerprint, self._request_payload(job.request),
+                        job.priority, submitted_ts=job.created, was_running=flight.started)
                 for flight in self._flights.values()
                 for job in flight.jobs
             ]
@@ -687,30 +611,24 @@ class JobManager:
     # ------------------------------------------------------------- execution
     @staticmethod
     def _default_runner(request: RunRequest):
-        # Returns the full RunReport so the captured frontier travels with
-        # the tally into the store.  Custom runners may still return a bare
-        # Tally; _execute accepts either (such results just aren't
-        # budget-extendable).
+        # The full RunReport, so the captured frontier reaches the store.
         from .. import api
 
         return api.run(request)
 
     def _run_next(self) -> None:
-        """Pool entry point: execute the highest-priority pending flight."""
+        """Pool entry point: execute the highest-priority pending flight.
+
+        A flight cancelled while queued is retired unrun, and this slot
+        serves the next pending flight, if any.
+        """
         while True:
             with self._lock:
                 if not self._pending:
                     return
                 _, _, flight = heapq.heappop(self._pending)
-            if flight.cancelled:
-                with self._lock:
-                    self._flights.pop(flight.fingerprint, None)
-                    self._update_queue_depth()
-                    self._idle.notify_all()
-                self._release_chained(flight)
-                continue  # this slot serves the next pending flight, if any
-            self._execute(flight)
-            return
+            if self._execute(flight):
+                return
 
     def _checkpointed(self, request: RunRequest, fingerprint: str) -> RunRequest:
         """Attach the flight's durable checkpoint directory (journal mode)."""
@@ -726,91 +644,120 @@ class JobManager:
         """
         if self.job_timeout is None:
             return self._runner(request)
-        box: dict = {}
-        done = threading.Event()
+        attempt: futures.Future = futures.Future()
 
         def target() -> None:
             try:
-                box["result"] = self._runner(request)
+                attempt.set_result(self._runner(request))
             except BaseException as exc:  # noqa: BLE001 - re-raised below
-                box["error"] = exc
-            finally:
-                done.set()
+                attempt.set_exception(exc)
 
-        thread = threading.Thread(target=target, name="repro-job", daemon=True)
-        thread.start()
-        if not done.wait(self.job_timeout):
+        threading.Thread(target=target, name="repro-job", daemon=True).start()
+        if not futures.wait([attempt], self.job_timeout).done:
             # The abandoned attempt finishes on its daemon thread and is
             # discarded; with a journal its checkpoints survive for resume.
             self.telemetry.count("service.jobs.timeout")
             raise JobTimeout(f"flight exceeded job_timeout={self.job_timeout}s")
-        if "error" in box:
-            raise box["error"]
-        return box["result"]
+        return attempt.result()
+
+    def _run(self, flight: _Flight, request: RunRequest):
+        """Run a flight's request with retries; returns ``(tally, frontier)``.
+
+        The last failure propagates.  A ``CheckpointError`` means the
+        durable checkpoint belongs to a different decomposition (e.g. an
+        execution knob outside the fingerprint changed, or the extension
+        base moved since the crash): it is wiped once and the flight
+        restarts without spending an attempt.  A :class:`JobTimeout` is a
+        wall-budget overrun, not a transient fault: it is never retried.
+        """
+        if request.telemetry is None:
+            # Attach the service telemetry so kernel/dispatch spans and
+            # photon counters land in the same registry as the service
+            # metrics (a request carrying its own telemetry keeps it).
+            request = replace(request, telemetry=self.telemetry)
+        wiped_stale_checkpoint = False
+        attempt = 1
+        while True:
+            try:
+                out = self._run_once(self._checkpointed(request, flight.fingerprint))
+            except CheckpointError:
+                if self.journal is None or wiped_stale_checkpoint:
+                    raise CheckpointError("stale checkpoint") from None
+                wiped_stale_checkpoint = True
+                self.telemetry.count("service.journal.stale_checkpoints")
+                shutil.rmtree(
+                    self.journal.checkpoint_dir(flight.fingerprint),
+                    ignore_errors=True,
+                )
+                continue
+            except Exception as exc:
+                with self._lock:
+                    aborting = self._closed or flight.cancelled
+                if isinstance(exc, JobTimeout) or aborting or attempt >= self.max_attempts:
+                    raise
+                self.telemetry.count("service.jobs.retried")
+                time.sleep(min(_RETRY_BACKOFF * 2 ** (attempt - 1), _RETRY_CAP))
+                attempt += 1
+                continue
+            # Custom runners may return a bare Tally: such results carry
+            # no frontier, so they just aren't budget-extendable.
+            return getattr(out, "tally", out), getattr(out, "frontier", None)
+
+    def _exact(self, fingerprint: str) -> _Plan | None:
+        """An exact-hit plan when the store holds this address."""
+        tally = self.store.get(fingerprint) if self.store is not None else None
+        return None if tally is None else _Plan(cache="exact", tally=tally)
 
     def _plan(self, flight: _Flight) -> _Plan:
-        """Decide how to serve a flight *at execute time*.
+        """Decide how to serve a flight: exact → prefix → derived → miss.
 
-        Planning is deferred to execution (not submission) so a flight
-        released from a budget or derivation chain sees the entry its base
-        just stored.  Resolution order: **exact → prefix → derivation →
-        miss**:
-
-        * ``cache="exact"``: the store answered the exact address
-          meanwhile (e.g. another process shares the directory) — settle
-          without running.
-        * ``cache="prefix"``: ``run_request`` carries the cached frontier
-          and simulates only the delta tasks.
-        * ``cache="derived"``: ``tally`` was reweighted from a same-basis
-          cached parent — settle without running.
-        * ``cache="miss"``: a cold run; extendable requests still get
-          ``capture_frontier=True`` (and, per the manager's
-          ``capture_paths`` knob, path capture) so the stored entry can
-          seed future extensions and derivations.
+        The only code that knows the cache tier.  It runs at execute time,
+        not at submission, so a flight released from a chain sees the entry
+        its base just stored (or one another process stored meanwhile).  A
+        cold extendable run captures its frontier (and, per
+        ``capture_paths``, path records) to seed later extensions and
+        derivations.
         """
         if flight.physics is None:
-            return _Plan(run_request=flight.request)
-        exact = self.store.get(flight.fingerprint)
-        if exact is not None:
-            return _Plan(run_request=flight.request, tally=exact, cache="exact")
-        hit = self.store.best_prefix(flight.physics, flight.request.n_photons)
-        if hit is not None:
-            fp, cached_photons, _frontier_tasks = hit
-            frontier = self.store.get_frontier(fp)
-            covered = frontier.prefix_tasks if frontier is not None else 0
-            if covered > 0:
-                task_size = flight.request.resolved_task_size()
-                delta = flight.request.n_photons - covered * task_size
-                run_request = replace(
-                    flight.request,
-                    frontier=frontier,
-                    capture_frontier=True,
-                    # The primed frontier spans carry no path records, so
-                    # the merged tally cannot either (all-or-nothing):
-                    # skip the capture cost on the delta tasks.
-                    capture_paths=False,
-                )
-                self.telemetry.count("service.prefix.hits")
-                self.telemetry.count("service.prefix.delta_photons", delta)
-                self.telemetry.count(
-                    "service.prefix.photons_saved", covered * task_size
-                )
-                return _Plan(
-                    run_request=run_request,
-                    cache="prefix",
-                    base_fingerprint=fp,
-                    base_n_photons=cached_photons,
-                    delta_photons=delta,
-                )
-        derived = self._plan_derivation(flight)
-        if derived is not None:
-            return derived
+            return _Plan(request=flight.request)
+        plan = self._exact(flight.fingerprint)
+        if plan is not None:
+            self.telemetry.count("service.cache.hits")
+            return plan
+        plan = self._plan_prefix(flight) or self._plan_derivation(flight)
+        if plan is not None:
+            return plan
         cold = replace(flight.request, capture_frontier=True)
         if self.capture_paths and not cold.capture_paths:
             cold = replace(cold, capture_paths=True)
-        return _Plan(run_request=cold)
+        return _Plan(request=cold)
 
-    def _plan_derivation(self, flight: _Flight) -> "_Plan | None":
+    def _plan_prefix(self, flight: _Flight) -> _Plan | None:
+        """A delta-run plan extending a smaller cached budget, or ``None``."""
+        hit = self.store.best_prefix(flight.physics, flight.request.n_photons)
+        if hit is None:
+            return None
+        fp, cached_photons, _frontier_tasks = hit
+        frontier = self.store.get_frontier(fp)
+        covered = frontier.prefix_tasks if frontier is not None else 0
+        if covered <= 0:
+            return None
+        task_size = flight.request.resolved_task_size()
+        delta = flight.request.n_photons - covered * task_size
+        self.telemetry.count("service.prefix.hits")
+        self.telemetry.count("service.prefix.delta_photons", delta)
+        self.telemetry.count("service.prefix.photons_saved", covered * task_size)
+        # The primed frontier spans carry no path records, so the merged
+        # tally cannot either (all-or-nothing): skip the capture cost on the
+        # delta tasks.
+        request = replace(flight.request, frontier=frontier, capture_frontier=True,
+                          capture_paths=False)
+        derived_from = dict(base_fingerprint=fp, base_n_photons=cached_photons,
+                            delta_photons=delta)
+        return _Plan("prefix", request, base_fingerprint=fp, delta_photons=delta,
+                     started={"cache": "prefix", **derived_from}, derived_from=derived_from)
+
+    def _plan_derivation(self, flight: _Flight) -> _Plan | None:
         """A reweighting plan from a same-basis cached parent, or ``None``.
 
         Every failure mode — parent evicted between index lookup and load,
@@ -840,196 +787,111 @@ class JobManager:
         except PerturbationError:
             return None
         self.telemetry.count("service.derivation.hits")
-        self.telemetry.count(
-            "service.derivation.photons_saved", flight.request.n_photons
-        )
+        self.telemetry.count("service.derivation.photons_saved", flight.request.n_photons)
+        perturbation = delta.as_dict()
         return _Plan(
-            run_request=flight.request,
-            tally=tally,
-            cache="derived",
-            base_fingerprint=parent_fp,
-            perturbation=delta.as_dict(),
-            parent_derived=parent_derived,
+            "derived", tally=tally, base_fingerprint=parent_fp, perturbation=perturbation,
+            started=dict(cache="derived", base_fingerprint=parent_fp,
+                         perturbation=perturbation),
+            derived_from=dict(parent_fingerprint=parent_fp, perturbation=perturbation,
+                              parent_derived=parent_derived),
+            derived=True,
         )
 
-    def _execute(self, flight: _Flight) -> None:
+    def _execute(self, flight: _Flight) -> bool:
+        """Serve one flight, the same way in every tier.
+
+        Returns ``False`` when the flight was cancelled before it started.
+        An exact hit is already stored and has nothing to recover, so it
+        skips the ``started`` record and the put; any failure on the way
+        fails the flight.
+        """
         with self._lock:
-            cancelled = flight.cancelled
-            if cancelled:
-                self._flights.pop(flight.fingerprint, None)
-                self._update_queue_depth()
-                self._idle.notify_all()
-            else:
+            started = not flight.cancelled
+            if started:
                 flight.started = True
                 flight.started_at = now = time.time()
-                job_ids = [job.id for job in flight.jobs]
-                for job in flight.jobs:
+                riders = list(flight.jobs)
+                for job in riders:
                     job.state = JobState.RUNNING
                     job.started = now
-        if cancelled:
-            self._release_chained(flight)
-            return
+        if not started:
+            self._retire(flight)
+            return False
         t0 = time.perf_counter()
         plan = self._plan(flight)
-        run_request, tally = plan.run_request, plan.tally
+        exact = plan.cache == "exact"  # already stored, nothing to recover
         error: str | None = None
-        exact_hit = plan.cache == "exact"
-        if exact_hit:
-            # Exact hit at execute time: serve from the store, no run.
-            self.telemetry.count("service.cache.hits")
-        elif plan.cache == "derived":
-            # Reweighted from a cached parent: no run.  The derived entry
-            # is stored under this flight's own fingerprint so repeats are
-            # exact hits; a store failure only costs the caching, never
-            # the (already computed) result.
-            for job_id in job_ids:
-                self._journal_record(
-                    "started",
-                    job_id,
-                    cache="derived",
-                    base_fingerprint=plan.base_fingerprint,
-                    perturbation=plan.perturbation,
-                )
-            if self.store is not None:
+        try:
+            if not exact:
+                for job in riders:
+                    self._journal_record("started", job.id, **plan.started)
+            frontier = None
+            if plan.tally is None:
+                plan.tally, frontier = self._run(flight, plan.request)
+            if not exact and self.store is not None:
                 provenance = flight.request.provenance()
-                provenance["derived_from"] = {
-                    "parent_fingerprint": plan.base_fingerprint,
-                    "perturbation": plan.perturbation,
-                    "parent_derived": plan.parent_derived,
-                }
-                try:
-                    self.store.put(
-                        flight.fingerprint,
-                        tally,
-                        provenance=provenance,
-                        physics=flight.physics,
-                        n_photons=flight.request.n_photons,
-                        basis=flight.basis,
-                        coefficients=perturbable_coefficients(flight.request),
-                        derived=True,
-                    )
-                except Exception:  # noqa: BLE001 - caching is best-effort here
-                    self.telemetry.count("service.derivation.store_failures")
-        else:
-            derivation: dict = {}
-            if plan.base_fingerprint is not None:
-                derivation = {
-                    "cache": "prefix",
-                    "base_fingerprint": plan.base_fingerprint,
-                    "base_n_photons": plan.base_n_photons,
-                    "delta_photons": plan.delta_photons,
-                }
-            for job_id in job_ids:
-                self._journal_record("started", job_id, **derivation)
-            wiped_stale_checkpoint = False
-            attempt = 0
-            while True:
-                attempt += 1
-                try:
-                    request = self._checkpointed(run_request, flight.fingerprint)
-                    if request.telemetry is None:
-                        # Attach the service telemetry so kernel/dispatch
-                        # spans and photon counters land in the same registry
-                        # as the service metrics (a request carrying its own
-                        # telemetry keeps it).
-                        request = replace(request, telemetry=self.telemetry)
-                    out = self._run_once(request)
-                    tally = out.tally if hasattr(out, "tally") else out
-                    frontier_out = getattr(out, "frontier", None)
-                    error = None
-                    if self.store is not None:
-                        provenance = flight.request.provenance()
-                        if plan.base_fingerprint is not None:
-                            provenance["derived_from"] = {
-                                "base_fingerprint": plan.base_fingerprint,
-                                "base_n_photons": plan.base_n_photons,
-                                "delta_photons": plan.delta_photons,
-                            }
-                        self.store.put(
-                            flight.fingerprint,
-                            tally,
-                            provenance=provenance,
-                            physics=flight.physics,
-                            n_photons=(
-                                flight.request.n_photons
-                                if flight.physics is not None
-                                else None
-                            ),
-                            frontier=frontier_out,
-                            basis=flight.basis,
-                            coefficients=(
-                                perturbable_coefficients(flight.request)
-                                if flight.basis is not None
-                                else None
-                            ),
-                        )
-                    break
-                except CheckpointError:
-                    # The durable checkpoint belongs to a different
-                    # decomposition (e.g. an execution knob outside the
-                    # fingerprint changed, or the extension base moved since
-                    # the crash).  Wipe it once and restart the flight.
-                    if self.journal is None or wiped_stale_checkpoint:
-                        error = "CheckpointError: stale checkpoint"
-                        break
-                    wiped_stale_checkpoint = True
-                    attempt -= 1
-                    self.telemetry.count("service.journal.stale_checkpoints")
-                    shutil.rmtree(
-                        self.journal.checkpoint_dir(flight.fingerprint),
-                        ignore_errors=True,
-                    )
-                except JobTimeout as exc:
-                    error = f"{type(exc).__name__}: {exc}"
-                    break  # a wall-budget overrun is not transient: no retry
-                except Exception as exc:  # noqa: BLE001 - failures settle the job
-                    error = f"{type(exc).__name__}: {exc}"
-                    with self._lock:
-                        aborting = self._closed or flight.cancelled
-                    if attempt >= self.max_attempts or aborting:
-                        break
-                    self.telemetry.count("service.jobs.retried")
-                    time.sleep(min(self.retry_backoff * 2 ** (attempt - 1), 30.0))
-        with self._lock:
-            self._flights.pop(flight.fingerprint, None)
-            riders = list(flight.jobs)
-            self._update_queue_depth()
-            self._idle.notify_all()
-        for job in riders:
-            if job.state in JobState.TERMINAL:
-                continue
-            # Journal the terminal event *before* releasing the waiter: an
-            # acknowledgement a client can observe must already be durable.
-            # The finally keeps a journal I/O failure from stranding waiters.
-            if error is None and tally is not None:
-                if plan.base_fingerprint is not None:
-                    job.cache = plan.cache
-                    job.base_fingerprint = plan.base_fingerprint
-                    job.delta_photons = plan.delta_photons
-                    job.perturbation = plan.perturbation
-                try:
-                    self._journal_record("done", job.id)
-                finally:
-                    job._complete(tally, cache_hit=exact_hit)
-            else:
-                try:
-                    self._journal_record("failed", job.id)
-                finally:
-                    job._fail(error or "no result")
-        self._release_chained(flight)
+                if plan.derived_from is not None:
+                    provenance["derived_from"] = plan.derived_from
+                extendable = flight.physics is not None  # so is flight.basis
+                self.store.put(
+                    flight.fingerprint, plan.tally, provenance, frontier=frontier,
+                    physics=flight.physics, basis=flight.basis, derived=plan.derived,
+                    n_photons=flight.request.n_photons if extendable else None,
+                    coefficients=(
+                        perturbable_coefficients(flight.request) if extendable else None
+                    ),
+                )
+        except Exception as exc:  # noqa: BLE001 - failures settle the job
+            error = f"{type(exc).__name__}: {exc}"
+        if error is None and plan.tally is None:
+            error = "no result"
+        self._retire(flight, plan, error)
         if error is None and self.journal is not None:
             # The run is durable in the store; its checkpoints are spent.
             shutil.rmtree(
                 self.journal.checkpoint_dir(flight.fingerprint), ignore_errors=True
             )
-        if (
-            self.journal is not None
-            and self.journal.size() > self.journal.max_bytes
-        ):
+        if self.journal is not None and self.journal.size() > self.journal.max_bytes:
             self._journal_compact()
         self.telemetry.observe("service.job.seconds", time.perf_counter() - t0)
         if error is not None:
             self.telemetry.count("service.jobs.failed")
+        return True
+
+    def _retire(self, flight: _Flight, plan: _Plan | None = None, error=None) -> None:
+        """Forget a flight, settle its riders from ``plan``, release its chain.
+
+        A flight cancelled before it started has no riders and no plan.
+        """
+        with self._lock:
+            if self._flights.get(flight.fingerprint) is flight:
+                del self._flights[flight.fingerprint]
+            riders = list(flight.jobs)
+            self._update_queue_depth()
+            self._idle.notify_all()
+        if plan is not None:
+            self._settle(riders, plan, error)
+        self._release_chained(flight)
+
+    def _settle(self, riders: list[Job], plan: _Plan, error=None, *, journal=True) -> None:
+        """Settle every unsettled rider, the same way in every tier.
+
+        The terminal event is journaled *before* the waiter is released: an
+        acknowledgement a client can observe must already be durable.  The
+        finally keeps a journal I/O failure from stranding the waiter.
+        """
+        for job in riders:
+            if job.state in JobState.TERMINAL:
+                continue
+            try:
+                if journal:
+                    self._journal_record("done" if error is None else "failed", job.id)
+            finally:
+                if error is None:
+                    job._complete(plan)
+                else:
+                    job._finish(JobState.FAILED, error)
 
     def _update_queue_depth(self) -> None:
         # Callers hold self._lock; gauge = jobs not yet settled.

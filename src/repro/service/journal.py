@@ -49,12 +49,12 @@ import logging
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..observe import Telemetry
 
-__all__ = ["JobJournal", "JournalRecord", "OpenJob"]
+__all__ = ["JobJournal", "OpenJob"]
 
 logger = logging.getLogger(__name__)
 
@@ -73,19 +73,6 @@ _SUBMITTED_TYPES = (str, (dict, _OPTIONAL), int, (str, _OPTIONAL), float)
 #: Compact once the log exceeds this size (checked by the manager after
 #: terminal events; purely a growth bound, not a correctness knob).
 DEFAULT_MAX_BYTES = 4 << 20
-
-
-@dataclass(frozen=True)
-class JournalRecord:
-    """One parsed journal line."""
-
-    event: str
-    job_id: str
-    fingerprint: str | None = None
-    request: dict | None = None
-    priority: int = 1
-    client: str | None = None
-    ts: float = 0.0
 
 
 @dataclass

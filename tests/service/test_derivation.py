@@ -10,6 +10,7 @@ provenance, and every fail-closed path back to a cold run.
 
 from __future__ import annotations
 
+import errno
 import json
 import time
 
@@ -132,6 +133,11 @@ class TestDerivedServing:
         assert derived_from["parent_fingerprint"] == parent.fingerprint
         assert derived_from["perturbation"] == job.perturbation
         assert derived_from["parent_derived"] is False
+        assert derived_from == {
+            "parent_fingerprint": parent.fingerprint,
+            "perturbation": job.perturbation,
+            "parent_derived": False,
+        }
 
     def test_parent_without_records_falls_through_to_cold_run(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -151,6 +157,25 @@ class TestDerivedServing:
         # A derivation reweights the parent's detected ensemble: it can
         # never conjure photons, so a different budget must run cold.
         assert job.cache == "miss"
+
+
+class TestDerivedStoreFailure:
+    def test_failed_put_fails_the_derived_flight(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        with JobManager(store, max_workers=1) as manager:
+            manager.submit(_request()).result(timeout=120)
+
+            def full_disk(*args, **kwargs):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            store.put = full_disk
+            job = manager.submit(_request(mu_a=1.05))
+            assert job.wait(120)
+        # Nothing is acknowledged done without a fetchable result.
+        assert job.state == "failed"
+        assert "No space left on device" in job.error
+        assert store.get(job.fingerprint) is None
+        assert _counter(manager, "service.jobs.failed") == 1
 
 
 class TestDerivationChaining:
@@ -175,9 +200,14 @@ class TestDerivationChaining:
         with JobManager(
             store, max_workers=1, journal=tmp_path / "journal"
         ) as manager:
-            manager.submit(_request()).result(timeout=120)
+            parent = manager.submit(_request())
+            parent.result(timeout=120)
             job = manager.submit(_request(mu_a=1.05))
             job.result(timeout=120)
+            extended = manager.submit(_request(n_photons=800))
+            extended.result(timeout=120)
+            exact = manager.submit(_request(mu_a=1.05))
+            exact.result(timeout=120)
             journal_path = manager.journal.path
 
         records = [
@@ -194,6 +224,32 @@ class TestDerivationChaining:
         assert started[0]["cache"] == "derived"
         assert started[0]["base_fingerprint"] == job.base_fingerprint
         assert started[0]["perturbation"] == job.perturbation
+        # The started record of each tier, field for field (ts aside); an
+        # exact hit is terminal at submission and journals nothing.
+        by_job = {}
+        for record in records:
+            if record["event"] == "started":
+                record.pop("ts")
+                by_job[record.pop("job_id")] = record
+        assert by_job == {
+            parent.id: {"v": 1, "event": "started"},
+            job.id: {
+                "v": 1,
+                "event": "started",
+                "cache": "derived",
+                "base_fingerprint": parent.fingerprint,
+                "perturbation": job.perturbation,
+            },
+            extended.id: {
+                "v": 1,
+                "event": "started",
+                "cache": "prefix",
+                "base_fingerprint": parent.fingerprint,
+                "base_n_photons": 400,
+                "delta_photons": 400,
+            },
+        }
+        assert exact.cache == "exact"
 
 
 class TestDerivationStore:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import http.client
 import io
 import json
+import os
 import time
 import urllib.error
 import urllib.request
@@ -218,6 +219,25 @@ class TestErrors:
         assert field in payload["error"]["message"]
         assert server.manager.jobs() == []  # nothing queued or journaled
 
+    @pytest.mark.parametrize("field, value", [
+        ("workers", 10**6), ("n_photons", 10**400),
+    ])
+    def test_unbounded_value_400(self, tmp_path, field, value):
+        from repro.service import AdmissionController
+
+        def never(request):
+            raise AssertionError("an out-of-bounds request must not run")
+
+        manager = JobManager(ResultStore(tmp_path / "store"), runner=never)
+        with ServiceServer(manager, admission=AdmissionController()) as server:
+            code, payload = self._status_of(
+                lambda: _post(f"{server.url}/v2/runs", {"model": "white_matter", field: value})
+            )
+            assert manager.jobs() == []  # nothing queued or journaled
+        assert code == 400
+        assert payload["error"]["code"] == "bad_request"
+        assert field in payload["error"]["message"]
+
     def test_deeply_nested_body_400(self, server):
         request = urllib.request.Request(
             f"{server.url}/v2/runs", data=b"[" * 100_000 + b"]" * 100_000,
@@ -248,6 +268,22 @@ class TestRequestFromJson:
         assert request.model == "white_matter"
         assert request.gate == (5.0, 50.0)
         assert request.workers == 2
+
+    def test_workers_above_cpu_count_rejected(self):
+        cores = os.cpu_count() or 1
+        assert request_from_json(dict(REQUEST_BODY, workers=cores)).workers == cores
+        for bad in (cores + 1, 10**6):
+            with pytest.raises(ValueError, match="workers"):
+                request_from_json(dict(REQUEST_BODY, workers=bad))
+        # Library callers size their own pools.
+        assert RunRequest(model="white_matter", workers=10**6).workers == 10**6
+
+    def test_budget_beyond_float_range_rejected(self):
+        # Admission prices a request in float photons: a budget no float
+        # can hold is refused at the decoder, not inside admission.
+        with pytest.raises(ValueError, match="n_photons"):
+            request_from_json(dict(REQUEST_BODY, n_photons=10**400))
+        assert request_from_json(dict(REQUEST_BODY, n_photons=10**300)).n_photons == 10**300
 
     def test_model_required(self):
         with pytest.raises(ValueError, match="model"):

@@ -7,12 +7,15 @@ identical results.
 
 from __future__ import annotations
 
+import errno
 import threading
 import time
 
 import pytest
 
 from repro.api import run
+from repro.core.tally import Tally
+from repro.distributed.checkpoint import CheckpointError
 from repro.observe import Telemetry
 from repro.service import JobManager, JobState, ResultStore
 
@@ -179,6 +182,37 @@ class TestCancellation:
         assert tally is not None
         assert rider.state == JobState.CANCELLED
 
+    def test_stale_entry_of_cancelled_flight_spares_its_successor(self, make_request):
+        # The cancelled flight's queue entry is retired after a new flight
+        # for the same request opened: the new one must stay registered,
+        # so a third submission still coalesces onto it.
+        unblock = threading.Event()
+        running = threading.Event()
+        finish = threading.Event()
+
+        def gated(request):
+            if request.seed == 1:
+                unblock.wait(30)
+            else:
+                running.set()
+                finish.wait(30)
+            return run(request).tally
+
+        with JobManager(runner=gated, max_workers=1) as manager:
+            blocker = manager.submit(make_request(seed=1))
+            first = manager.submit(make_request(seed=2))
+            assert manager.cancel(first.id)
+            second = manager.submit(make_request(seed=2))
+            unblock.set()
+            assert running.wait(30)
+            third = manager.submit(make_request(seed=2))
+            assert third.coalesced
+            assert manager.queue_depth() == 2
+            finish.set()
+            assert second.result(timeout=60) == third.result(timeout=60)
+            blocker.result(timeout=60)
+        assert first.state == JobState.CANCELLED
+
     def test_cancel_unknown_job(self, make_request):
         with JobManager() as manager:
             assert not manager.cancel("nope")
@@ -247,6 +281,13 @@ class TestPrefixExtension:
         assert exact_payload["cache"] == "exact"
         assert exact_payload["cache_hit"] is True
         assert "base_fingerprint" not in exact_payload
+        common = {
+            "id", "fingerprint", "state", "priority", "cache_hit", "cache",
+            "coalesced", "recovered", "error", "created", "started", "finished",
+        }
+        assert set(exact_payload) == common
+        assert set(payload) == common | {"base_fingerprint", "delta_photons"}
+        assert payload["cache_hit"] is False
 
     def test_derivation_stamped_into_stored_provenance(self, tmp_path, make_request):
         store = ResultStore(tmp_path / "store")
@@ -260,6 +301,11 @@ class TestPrefixExtension:
         assert derived["base_fingerprint"] == base.fingerprint
         assert derived["base_n_photons"] == 400
         assert derived["delta_photons"] == 400
+        assert derived == {
+            "base_fingerprint": base.fingerprint,
+            "base_n_photons": 400,
+            "delta_photons": 400,
+        }
 
     def test_different_physics_never_extends(self, tmp_path, make_request):
         store = ResultStore(tmp_path / "store")
@@ -293,10 +339,19 @@ class TestBudgetChaining:
     def test_queued_larger_budget_chains_to_inflight_smaller(
         self, tmp_path, make_request
     ):
+        release = threading.Event()
+
+        def gated(request):
+            # Hold the small flight until the large one has been queued, so
+            # the chain forms however fast the small run would finish.
+            release.wait(30)
+            return run(request)
+
         store = ResultStore(tmp_path / "store")
-        with JobManager(store, max_workers=1) as manager:
+        with JobManager(store, max_workers=1, runner=gated) as manager:
             small = manager.submit(make_request(n_photons=400))
             large = manager.submit(make_request(n_photons=800))
+            release.set()
             extended = large.result(timeout=120)
             small.result(timeout=10)
         assert _counter(manager, "service.chained") == 1
@@ -346,3 +401,116 @@ class TestBudgetChaining:
             assert large.wait(60)
         assert large.state == JobState.FAILED
         assert "delta exploded" in large.error
+
+
+def _canned(request) -> Tally:
+    """A result for fake runners: no kernel runs, content is irrelevant."""
+    return Tally(n_layers=1, n_launched=request.n_photons)
+
+
+class TestRetriesAndTimeouts:
+    """The run step's fault policies, driven by fake runners."""
+
+    def test_transient_failures_are_retried(self, make_request):
+        calls = []
+
+        def flaky(request):
+            calls.append(request)
+            if len(calls) <= 2:
+                raise RuntimeError("worker lost")
+            return _canned(request)
+
+        with JobManager(runner=flaky, max_attempts=3) as manager:
+            job = manager.submit(make_request())
+            assert job.wait(10)
+        assert job.state == JobState.DONE
+        assert len(calls) == 3
+        assert _counter(manager, "service.jobs.retried") == 2
+        assert _counter(manager, "service.jobs.failed") == 0
+
+    def test_timeout_fails_without_retry(self, make_request):
+        release = threading.Event()
+        calls = []
+
+        def hung(request):
+            calls.append(request)
+            release.wait(30)
+            return _canned(request)
+
+        try:
+            with JobManager(runner=hung, max_attempts=3, job_timeout=0.2) as manager:
+                job = manager.submit(make_request())
+                assert job.wait(10)
+                assert job.state == JobState.FAILED
+                assert job.error.startswith("JobTimeout")
+        finally:
+            release.set()  # let the abandoned attempt finish
+        assert len(calls) == 1
+        assert _counter(manager, "service.jobs.timeout") == 1
+        assert _counter(manager, "service.jobs.retried") == 0
+
+    def test_stale_checkpoint_is_wiped_once_and_the_flight_restarts(
+        self, tmp_path, make_request
+    ):
+        seen = []
+
+        def stale_once(request):
+            directory = request.checkpoint.directory
+            seen.append((directory / "stale").exists())
+            if len(seen) == 1:
+                directory.mkdir(parents=True, exist_ok=True)
+                (directory / "stale").write_text("another decomposition")
+                raise CheckpointError("checkpoint belongs to another run")
+            return _canned(request)
+
+        with JobManager(runner=stale_once, journal=tmp_path / "journal") as manager:
+            job = manager.submit(make_request())
+            assert job.wait(10)
+        assert job.state == JobState.DONE
+        assert seen == [False, False]  # the restart found the directory wiped
+        assert _counter(manager, "service.journal.stale_checkpoints") == 1
+
+    def test_checkpoint_error_twice_fails_the_job(self, tmp_path, make_request):
+        calls = []
+
+        def always_stale(request):
+            calls.append(request)
+            raise CheckpointError("checkpoint belongs to another run")
+
+        with JobManager(
+            runner=always_stale, journal=tmp_path / "journal", max_attempts=3
+        ) as manager:
+            job = manager.submit(make_request())
+            assert job.wait(10)
+        assert job.state == JobState.FAILED
+        assert "stale checkpoint" in job.error
+        assert len(calls) == 2
+        assert _counter(manager, "service.journal.stale_checkpoints") == 1
+
+
+def _full_disk(*args, **kwargs):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestStoreFailure:
+    """A result that cannot be stored is not acknowledged done."""
+
+    def test_failed_put_fails_the_flight_without_rerunning(
+        self, tmp_path, make_request
+    ):
+        calls = []
+
+        def counting(request):
+            calls.append(request)
+            return _canned(request)
+
+        store = ResultStore(tmp_path / "store")
+        store.put = _full_disk
+        with JobManager(store, runner=counting, max_attempts=3) as manager:
+            job = manager.submit(make_request())
+            assert job.wait(10)
+        assert job.state == JobState.FAILED
+        assert "No space left on device" in job.error
+        assert len(calls) == 1  # the run succeeded; only the put failed
+        assert _counter(manager, "service.jobs.retried") == 0
+        assert _counter(manager, "service.jobs.failed") == 1
